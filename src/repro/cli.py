@@ -22,6 +22,7 @@ shared-cache hit rates the engine collected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import sys
 
@@ -200,97 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--port", type=int, default=8080, help="0 picks an ephemeral port"
     )
-    p_serve.add_argument("--dataset", default="squad11", choices=DATASET_KEYS)
-    p_serve.add_argument("--n-train", type=int, default=100)
-    p_serve.add_argument("--n-dev", type=int, default=60)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--workers", type=int, default=1, help="executor pool size (1 = serial)"
-    )
-    p_serve.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
-    )
-    p_serve.add_argument(
-        "--max-batch-size",
-        type=int,
-        default=16,
-        help="flush a micro-batch once this many requests are queued",
-    )
-    p_serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=5.0,
-        help="flush at the latest this long after the oldest queued request",
-    )
-    p_serve.add_argument(
-        "--max-queue-depth",
-        type=int,
-        default=256,
-        help="shed requests (429 + Retry-After) past this many pending "
-        "in the admission queue (0 = unbounded)",
-    )
-    p_serve.add_argument(
-        "--client-rate",
-        type=float,
-        default=0.0,
-        help="per-client token-bucket refill in engine triples/second "
-        "(X-Client-Id header; 0 disables rate limiting)",
-    )
-    p_serve.add_argument(
-        "--client-burst",
-        type=float,
-        default=0.0,
-        help="token-bucket capacity (0 = max(1, client rate))",
-    )
-    p_serve.add_argument(
-        "--trace-sample",
-        type=float,
-        default=1.0,
-        help="fraction of requests to trace (deterministic every-Nth; "
-        "0 disables tracing, X-Trace-Id requests always trace)",
-    )
-    p_serve.add_argument(
-        "--slow-trace-ms",
-        type=float,
-        default=250.0,
-        help="traces at/above this latency enter GET /debug/traces",
-    )
-    p_serve.add_argument(
-        "--breaker-failures",
-        type=int,
-        default=3,
-        help="consecutive failures that trip the process-pool and "
-        "retrieval circuit breakers open (degraded mode)",
-    )
-    p_serve.add_argument(
-        "--breaker-reset-s",
-        type=float,
-        default=30.0,
-        help="cooldown before an open breaker admits a half-open trial",
-    )
-    p_serve.add_argument(
-        "--ingest-dir",
-        default="",
-        help="durable live-ingest directory (WAL + segment); enables "
-        "POST /ingest and DELETE /docs/<id> and recovers any state "
-        "already there",
-    )
-    p_serve.add_argument(
-        "--compact-every",
-        type=int,
-        default=0,
-        help="fold the ingest WAL into a fresh segment after this many "
-        "applied operations (0 = only explicit compaction)",
-    )
-    p_serve.add_argument(
-        "--fleet",
-        action="store_true",
-        help="serve retrieval through a supervised per-shard worker "
-        "fleet (scatter-gather with restart + degrade-to-survivors)",
-    )
+    _add_config_flags(p_serve)
     p_serve.add_argument(
         "--log-level",
         default="info",
@@ -418,6 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--n-dev", type=int, default=60)
     p_report.add_argument("--seed", type=int, default=0)
     return parser
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One ``--flag`` per :class:`ServiceConfig` field.
+
+    Type and default come from the field, help text and choices from its
+    metadata, so a new serving knob needs no CLI change.
+    """
+    from repro.service.service import ServiceConfig
+
+    for knob in dataclasses.fields(ServiceConfig):
+        parser.add_argument(
+            f"--{knob.name.replace('_', '-')}",
+            type=type(knob.default),
+            default=knob.default,
+            choices=knob.metadata["choices"],
+            help=knob.metadata["help"],
+        )
 
 
 def _default_dataset(name: str) -> str:
@@ -618,24 +547,10 @@ def _run_serve(args: argparse.Namespace) -> int:
     # it in their own initializer) — the chaos CI leg's entry point.
     install_from_env()
     config = ServiceConfig(
-        dataset=args.dataset,
-        seed=args.seed,
-        n_train=args.n_train,
-        n_dev=args.n_dev,
-        workers=args.workers,
-        backend=args.backend,
-        max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
-        max_queue_depth=args.max_queue_depth,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        trace_sample=args.trace_sample,
-        slow_trace_ms=args.slow_trace_ms,
-        breaker_failures=args.breaker_failures,
-        breaker_reset_s=args.breaker_reset_s,
-        ingest_dir=args.ingest_dir,
-        compact_every=args.compact_every,
-        fleet=args.fleet,
+        **{
+            knob.name: getattr(args, knob.name)
+            for knob in dataclasses.fields(ServiceConfig)
+        }
     )
     print(f"building service resources for {args.dataset} ...", file=sys.stderr)
     service = DistillService.build(config)

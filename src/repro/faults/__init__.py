@@ -5,13 +5,14 @@
   one-attribute-read disabled path and ``REPRO_FAULTS`` env propagation
   into process-pool workers.
 * :mod:`repro.faults.breaker` — the :class:`CircuitBreaker` the batch
-  distiller (process pool → serial) and retriever (full → reduced-shard
-  search) degrade through.
+  distiller (process pool → serial) and retriever (open → refuse with a
+  retry hint) degrade through, and the :class:`ShedError` base every
+  "come back in ``retry_after`` seconds" refusal subclasses.
 
 See the failure-modes runbook in ``docs/operations.md``.
 """
 
-from repro.faults.breaker import CircuitBreaker
+from repro.faults.breaker import CircuitBreaker, ShedError
 from repro.faults.plan import (
     ENV_VAR,
     FaultInjected,
@@ -31,6 +32,7 @@ __all__ = [
     "FaultInjected",
     "FaultPlan",
     "FaultSpec",
+    "ShedError",
     "fault_point",
     "injected",
     "install",

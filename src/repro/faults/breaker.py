@@ -5,9 +5,11 @@ Classic three-state machine:
 * **closed** — traffic flows; ``failure_threshold`` *consecutive*
   failures trip the breaker open.
 * **open** — :meth:`allow` answers ``False`` so callers take their
-  degraded path (serial executor, reduced-shard search) instead of
-  hammering a broken dependency; after ``reset_after_s`` the breaker
-  moves to half-open.
+  degraded path instead of hammering a broken dependency: the batch
+  distiller runs serially in the coordinator, the retriever refuses the
+  search with a :class:`ShedError` whose ``retry_after`` is
+  :meth:`~CircuitBreaker.cooldown_remaining`.  After ``reset_after_s``
+  the breaker moves to half-open.
 * **half-open** — exactly one trial call is admitted; success closes
   the breaker, failure re-opens it and restarts the cooldown.
 
@@ -20,9 +22,25 @@ from __future__ import annotations
 import threading
 import time
 
-__all__ = ["CircuitBreaker"]
+__all__ = ["CircuitBreaker", "ShedError"]
 
 _STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
+
+
+class ShedError(RuntimeError):
+    """A request refused for now, with a retry hint.
+
+    Admission control (:mod:`repro.service.admission`) and an open
+    retrieval breaker both raise subclasses; the HTTP front end answers
+    them with a ``Retry-After`` header.
+
+    Attributes:
+        retry_after: seconds the client should wait before retrying.
+    """
+
+    def __init__(self, message: str, retry_after: float) -> None:
+        super().__init__(message)
+        self.retry_after = max(0.0, float(retry_after))
 
 
 class CircuitBreaker:
@@ -123,6 +141,17 @@ class CircuitBreaker:
             ):
                 return "half_open"
             return self._state
+
+    def cooldown_remaining(self) -> float:
+        """Seconds until an open breaker admits its half-open trial.
+
+        ``0.0`` unless the breaker is open with its cooldown running.
+        """
+        with self._lock:
+            if self._state != "open":
+                return 0.0
+            elapsed = self.clock() - self._opened_at
+            return max(0.0, self.reset_after_s - elapsed)
 
     @property
     def degraded(self) -> bool:

@@ -7,8 +7,13 @@ in parallel on the engine executors, BM25/TF-IDF ranking
 (:mod:`~repro.retrieval.bm25`) sharing its term-weighting formulas
 (:mod:`~repro.retrieval.weighting`) with the QA layer's TF-IDF scorer,
 versioned JSON persistence (:mod:`~repro.retrieval.store`) so indexes
-build once and load warm, and the :class:`CorpusRetriever` facade the
-pipeline stage, service, and CLI consume.
+build once and load warm, durable live ingestion
+(:mod:`~repro.retrieval.wal`, :mod:`~repro.retrieval.mutable`,
+:mod:`~repro.retrieval.ingest`), and the :class:`CorpusRetriever` facade
+the pipeline stage, service, and CLI consume.  Every search runs inline
+over the one (possibly mutable) index; when the retrieval breaker is
+open or a search fails, :class:`RetrievalUnavailableError` is raised —
+there is no reduced-recall fallback path.
 """
 
 from repro.retrieval.bm25 import (
@@ -17,11 +22,14 @@ from repro.retrieval.bm25 import (
     TfidfScorer,
     make_scorer,
 )
-from repro.retrieval.fleet import ShardFleet, ShardWorker
 from repro.retrieval.index import IndexShard, InvertedIndex, build_shard
 from repro.retrieval.ingest import IngestManager
 from repro.retrieval.mutable import MutableInvertedIndex
-from repro.retrieval.retriever import CorpusRetriever, RetrievedParagraph
+from repro.retrieval.retriever import (
+    CorpusRetriever,
+    RetrievalUnavailableError,
+    RetrievedParagraph,
+)
 from repro.retrieval.store import (
     INDEX_FORMAT,
     INDEX_VERSION,
@@ -54,11 +62,10 @@ __all__ = [
     "InvertedIndex",
     "MutableInvertedIndex",
     "RankingScorer",
+    "RetrievalUnavailableError",
     "RetrievedParagraph",
     "SEGMENT_VERSION",
     "Segment",
-    "ShardFleet",
-    "ShardWorker",
     "TfidfScorer",
     "WalRecord",
     "WriteAheadLog",

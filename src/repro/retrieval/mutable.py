@@ -213,9 +213,10 @@ class MutableInvertedIndex:
     def shards(self) -> tuple[IndexShard, ...]:
         """The live overlay materialized as canonical immutable shards.
 
-        Lazily built and cached until the next mutation; this is both
-        the compaction input and the degraded-retrieval view's shard
-        surface, so the two share one definition of "the live corpus".
+        Lazily built and cached until the next mutation; this is the
+        compaction input and the pipeline-snapshot payload, so both
+        share one definition of "the live corpus".  Searches never read
+        it — they go through the overlay's scorer surface above.
         """
         cached = self._shards_cache
         if cached is None:
@@ -340,7 +341,7 @@ class MutableInvertedIndex:
         """Swap in a new base in place, emptying the delta.
 
         Compaction calls this after the segment swap so every holder of
-        this index (retriever, fleet, service) sees the folded state
+        this index (retriever, ingest manager, service) sees the folded state
         without re-wiring references.  Object identity — and the write
         lock — are preserved; the internal state is replaced wholesale
         so lock-free readers see either the old overlay or the new one.

@@ -15,10 +15,12 @@ is scheduled:
    its admission queue is at ``max_queue_depth``.
 
 Both layers shed by raising a :class:`ShedError` subclass carrying a
-``retry_after`` hint in seconds; the HTTP front end maps any
-:class:`ShedError` to ``429 Too Many Requests`` with a ``Retry-After``
-header.  Token-bucket hints are exact (time until the bucket holds
-enough tokens); queue hints are derived from the observed batch latency.
+``retry_after`` hint in seconds; the HTTP front end maps them to
+``429 Too Many Requests`` with a ``Retry-After`` header (the one other
+:class:`ShedError`, the retriever's ``RetrievalUnavailableError``,
+answers ``503``).  Token-bucket hints are exact (time until the bucket
+holds enough tokens); queue hints are derived from the observed batch
+latency.
 
 Thread safety: all public methods are safe to call from any number of
 server handler threads; buckets are guarded by one controller lock.
@@ -29,6 +31,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+
+from repro.faults import ShedError
 
 __all__ = [
     "AdmissionController",
@@ -43,18 +47,6 @@ __all__ = [
 # Anonymous requests (no client id) all draw from this shared bucket, so
 # unidentified traffic is rate-limited collectively rather than not at all.
 DEFAULT_CLIENT = "anonymous"
-
-
-class ShedError(RuntimeError):
-    """A request refused by admission control, with a retry hint.
-
-    Attributes:
-        retry_after: seconds the client should wait before retrying.
-    """
-
-    def __init__(self, message: str, retry_after: float) -> None:
-        super().__init__(message)
-        self.retry_after = max(0.0, float(retry_after))
 
 
 class QueueFullError(ShedError):

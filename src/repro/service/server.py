@@ -47,8 +47,11 @@ paths answer ``404``; ``/ask`` without a retriever answers ``503``; a
 request shed by admission control (empty client token bucket or full
 scheduler queue) answers ``429`` with a ``Retry-After`` header (whole
 seconds, rounded up) and ``retry_after_seconds`` (exact float) in the
-body.  Clients identify themselves with an ``X-Client-Id`` header;
-anonymous requests share one default token bucket.
+body.  An ``/ask`` whose retrieval is unavailable (breaker open, or the
+search failed) answers ``503`` with the same header and body field,
+the hint being the breaker's remaining cooldown.  Clients identify
+themselves with an ``X-Client-Id`` header; anonymous requests share one
+default token bucket.
 
 Deadlines: serving requests may carry ``X-Deadline-Ms``, an end-to-end
 budget in milliseconds.  A request whose budget runs out — before it
@@ -57,11 +60,11 @@ mid-execution — answers ``504 Gateway Timeout`` with a parseable JSON
 body.  A malformed header answers ``400``.
 
 Degradation: while a circuit breaker is open (process pool or
-retrieval), responses carry ``degraded: true`` and ``/healthz`` reports
-``"degraded"``; a dead scheduler reports ``"failing"`` with status
-``503`` so probes restart the process.  Error responses echo
-``X-Trace-Id`` exactly like successes, so a failed request can be
-correlated with its trace and logs.
+retrieval), successful responses carry ``degraded: true`` and
+``/healthz`` reports ``"degraded"``; a dead scheduler reports
+``"failing"`` with status ``503`` so probes restart the process.
+Error responses echo ``X-Trace-Id`` exactly like successes, so a failed
+request can be correlated with its trace and logs.
 
 Thread safety: ``ThreadingHTTPServer`` gives every connection its own
 handler thread; handlers only touch the service's thread-safe surface.
@@ -78,6 +81,7 @@ from urllib.parse import urlsplit
 
 from repro.faults import fault_point
 from repro.obs.logs import get_logger
+from repro.retrieval.retriever import RetrievalUnavailableError
 from repro.service.admission import (
     DeadlineExceededError,
     QueueFullError,
@@ -307,17 +311,22 @@ class _DistillHandler(BaseHTTPRequestHandler):
         try:
             call()
         except ShedError as exc:
-            # Load shed: tell the client when to come back.  Retry-After
-            # is whole seconds per RFC 9110; the body keeps the float.
+            # Refused for now: tell the client when to come back.  An
+            # unavailable retriever is 503, admission shedding is 429.
+            # Retry-After is whole seconds per RFC 9110; the body keeps
+            # the float.
+            unavailable = isinstance(exc, RetrievalUnavailableError)
             self._shed_reason = (
-                "rate_limited"
+                "retrieval_unavailable"
+                if unavailable
+                else "rate_limited"
                 if isinstance(exc, RateLimitedError)
                 else "queue_full"
                 if isinstance(exc, QueueFullError)
                 else "shed"
             )
             self._send_json(
-                429,
+                503 if unavailable else 429,
                 {
                     "error": str(exc),
                     "retry_after_seconds": exc.retry_after,
@@ -426,8 +435,9 @@ class _DistillHandler(BaseHTTPRequestHandler):
     def _handle_ask(self, payload: dict) -> None:
         """``POST /ask``: fat by default; paged with page_size/cursor.
 
-        503 when the service has no retriever; 400 on malformed cursors
-        or fields; 429 when shed.
+        503 when the service has no retriever, or (with ``Retry-After``)
+        while retrieval is unavailable; 400 on malformed cursors or
+        fields; 429 when shed.
         """
         cursor = payload.get("cursor")
         if cursor is not None and not isinstance(cursor, str):
@@ -484,8 +494,8 @@ class _DistillHandler(BaseHTTPRequestHandler):
                     deadline_ms=self._deadline_ms,
                 )
         except ShedError:
-            # A RuntimeError subclass, but it means 429 — let the central
-            # shed handler in do_POST answer it, not the 503 below.
+            # A RuntimeError subclass with a retry hint — let the central
+            # shed handler in _invoke answer it (with Retry-After).
             raise
         except RuntimeError as exc:
             # No retriever attached: the endpoint is unavailable, not broken.

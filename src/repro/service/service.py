@@ -25,22 +25,26 @@ cost 1 for a distill, ``len(items)`` for a batch, ``k`` for a fresh ask,
 scheduler's bounded queue.  Both layers raise a
 :class:`~repro.service.admission.ShedError` subclass carrying
 ``retry_after`` seconds, which the HTTP front end maps to ``429``.
+Retrieval refuses the same way: while its breaker is open, or when a
+search fails, ``ask`` raises
+:class:`~repro.retrieval.retriever.RetrievalUnavailableError` (→ ``503``
+with ``Retry-After``).
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import TimeoutError as FuturesTimeoutError
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 from repro.core.batch import BatchDistiller
 from repro.core.open_context import AskOutcome, build_outcome
 from repro.core.pipeline import GCED, DistillationResult
 from repro.core.serialize import result_to_dict
+from repro.datasets.loader import DATASET_KEYS
 from repro.faults import installed as faults_installed
 from repro.obs.trace import span as obs_span
-from repro.retrieval.fleet import ShardFleet
 from repro.retrieval.ingest import IngestManager
 from repro.retrieval.retriever import CorpusRetriever
 from repro.service.admission import (
@@ -54,67 +58,93 @@ from repro.service.telemetry import ServiceTelemetry
 __all__ = ["DistillService", "ServiceConfig"]
 
 
+def _knob(default, help: str, choices: Sequence[str] | None = None):
+    """A :class:`ServiceConfig` field; ``repro serve`` derives its flag
+    (type and default from the field, help and choices from here)."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Startup configuration for a dataset-backed :class:`DistillService`.
+    """Startup configuration for a :class:`DistillService`.
 
-    Attributes:
-        dataset: synthetic dataset key the corpus is drawn from.
-        seed / n_train / n_dev: dataset generation parameters.
-        workers: engine executor pool size (1 = serial flushes).
-        backend: ``"thread"`` or ``"process"`` executor backend.
-        cache_size: memoized finished results kept by the distiller.
-        max_batch_size / max_wait_ms: micro-batching flush policy.
-        max_queue_depth: scheduler admission bound — submits past this
-            many pending requests are shed with 429/Retry-After
-            (``0`` = unbounded admission, the pre-hardening behaviour).
-        client_rate: per-client token-bucket refill, engine triples per
-            second (``0`` disables rate limiting).
-        client_burst: token-bucket capacity (``0`` = ``max(1, rate)``).
-        retrieval_shards: inverted-index shard count for ``/ask``.
-        top_k: default number of paragraphs an ask considers.
-        trace_sample: fraction of HTTP requests that get a full trace
-            (deterministic every-Nth sampling, never random; ``0``
-            disables tracing, requests with ``X-Trace-Id`` always trace).
-        slow_trace_ms: traces at/above this duration enter the
-            ``/debug/traces`` exemplar ring.
-        breaker_failures: consecutive failures that trip the process-pool
-            and retrieval circuit breakers open (degraded mode).
-        breaker_reset_s: cooldown before an open breaker admits a
-            half-open trial call.
-        ingest_dir: durable live-ingest directory (WAL + segment).  Empty
-            disables the write path (``POST /ingest`` answers 503).
-        compact_every: fold the WAL into a fresh segment after this many
-            applied operations (``0`` = only explicit compaction).
-        fleet: serve searches through a supervised per-shard worker
-            fleet (scatter-gather with restart + degrade-to-survivors)
-            instead of inline scoring.
+    The single spelling of every serving knob: ``repro serve`` builds
+    one ``--flag`` per field from this dataclass,
+    :meth:`DistillService.from_corpus` forwards its keywords here, and
+    ``/stats`` reports it.  Each field's help text is its documentation.
     """
 
-    dataset: str = "squad11"
-    seed: int = 0
-    n_train: int = 100
-    n_dev: int = 60
-    workers: int = 1
-    backend: str = "thread"
-    cache_size: int = 4096
-    max_batch_size: int = 16
-    max_wait_ms: float = 5.0
-    max_queue_depth: int = 256
-    client_rate: float = 0.0
-    client_burst: float = 0.0
-    retrieval_shards: int = 4
-    top_k: int = 3
-    trace_sample: float = 1.0
-    slow_trace_ms: float = 250.0
-    breaker_failures: int = 3
-    breaker_reset_s: float = 30.0
-    ingest_dir: str = ""
-    compact_every: int = 0
-    fleet: bool = False
+    dataset: str = _knob(
+        "squad11",
+        "synthetic dataset key the corpus is drawn from (the corpus "
+        "label in /stats)",
+        choices=DATASET_KEYS,
+    )
+    seed: int = _knob(0, "master seed for dataset generation and training")
+    n_train: int = _knob(100, "training-split size")
+    n_dev: int = _knob(60, "dev-split size")
+    workers: int = _knob(1, "executor pool size (1 = serial)")
+    backend: str = _knob(
+        "thread", "parallel executor backend", choices=("thread", "process")
+    )
+    cache_size: int = _knob(
+        4096, "finished results memoized by the distiller (LRU)"
+    )
+    max_batch_size: int = _knob(
+        16, "flush a micro-batch once this many requests are queued"
+    )
+    max_wait_ms: float = _knob(
+        5.0,
+        "flush at the latest this long after the oldest queued request",
+    )
+    max_queue_depth: int = _knob(
+        256,
+        "shed requests (429 + Retry-After) past this many pending in "
+        "the admission queue (0 = unbounded)",
+    )
+    client_rate: float = _knob(
+        0.0,
+        "per-client token-bucket refill in engine triples/second "
+        "(X-Client-Id header; 0 disables rate limiting)",
+    )
+    client_burst: float = _knob(
+        0.0, "token-bucket capacity (0 = max(1, client rate))"
+    )
+    top_k: int = _knob(3, "default number of paragraphs an ask considers")
+    trace_sample: float = _knob(
+        1.0,
+        "fraction of requests to trace (deterministic every-Nth; 0 "
+        "disables tracing, X-Trace-Id requests always trace)",
+    )
+    slow_trace_ms: float = _knob(
+        250.0, "traces at/above this latency enter GET /debug/traces"
+    )
+    breaker_failures: int = _knob(
+        3,
+        "consecutive failures that trip the process-pool and retrieval "
+        "circuit breakers open",
+    )
+    breaker_reset_s: float = _knob(
+        30.0, "cooldown before an open breaker admits a half-open trial"
+    )
+    ingest_dir: str = _knob(
+        "",
+        "durable live-ingest directory (WAL + segment); enables POST "
+        "/ingest and DELETE /docs/<id> and recovers any state already "
+        "there (empty = no write path)",
+    )
+    compact_every: int = _knob(
+        0,
+        "fold the ingest WAL into a fresh segment after this many "
+        "applied operations (0 = only explicit compaction)",
+    )
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+# from_corpus() builds a retriever over the corpus unless one is passed.
+_BUILD_RETRIEVER = object()
 
 
 class DistillService:
@@ -122,7 +152,10 @@ class DistillService:
 
     Build one with :meth:`build` (from a synthetic dataset key) or
     :meth:`from_corpus` (from raw context paragraphs), or pass a
-    pre-configured :class:`GCED` directly.
+    pre-configured :class:`GCED` directly.  Every serving value is read
+    from ``config``; without one, the defaults serve and the
+    dataset-shape fields say so (``dataset="custom"``, ``seed=-1``,
+    ``n_train=n_dev=0``).
 
     Thread safety: every serving method may be called from any number of
     threads concurrently; admission, scheduling, and the distiller's
@@ -133,113 +166,59 @@ class DistillService:
     def __init__(
         self,
         gced: GCED,
-        *,
-        workers: int = 1,
-        backend: str = "thread",
-        cache_size: int = 4096,
-        max_batch_size: int = 16,
-        max_wait_ms: float = 5.0,
-        max_queue_depth: int = 256,
-        client_rate: float = 0.0,
-        client_burst: float = 0.0,
-        corpus_info: str = "custom",
         config: ServiceConfig | None = None,
+        *,
         retriever: CorpusRetriever | None = None,
-        top_k: int = 3,
-        trace_sample: float = 1.0,
-        slow_trace_ms: float = 250.0,
-        breaker_failures: int = 3,
-        breaker_reset_s: float = 30.0,
-        ingest_dir: str = "",
-        compact_every: int = 0,
-        fleet: bool = False,
     ) -> None:
         self.gced = gced
-        self.corpus_info = corpus_info
         self.retriever = retriever
-        self.top_k = top_k
-        # Only the serving knobs are authoritative here; dataset-shape
-        # fields (seed, n_train, n_dev) are honest solely when a full
-        # config travels in from build()/from_corpus().
-        self.config = config or ServiceConfig(
-            dataset=corpus_info,
-            seed=-1,
-            n_train=0,
-            n_dev=0,
-            workers=workers,
-            backend=backend,
-            cache_size=cache_size,
-            max_batch_size=max_batch_size,
-            max_wait_ms=max_wait_ms,
-            max_queue_depth=max_queue_depth,
-            client_rate=client_rate,
-            client_burst=client_burst,
-            trace_sample=trace_sample,
-            slow_trace_ms=slow_trace_ms,
-            breaker_failures=breaker_failures,
-            breaker_reset_s=breaker_reset_s,
-            ingest_dir=ingest_dir,
-            compact_every=compact_every,
-            fleet=fleet,
+        self.config = config = config or ServiceConfig(
+            dataset="custom", seed=-1, n_train=0, n_dev=0
         )
         self.admission = AdmissionController(
-            rate=self.config.client_rate, burst=self.config.client_burst
+            rate=config.client_rate, burst=config.client_burst
         )
         # Durable write path.  Wired *before* the distiller so the
         # pipeline snapshot (built at distiller construction for process
         # backends) already carries the mutable, WAL-recovered index.
         self.ingest: IngestManager | None = None
-        if self.config.ingest_dir and self.retriever is not None:
+        if config.ingest_dir and retriever is not None:
             self.ingest = IngestManager.open(
-                self.config.ingest_dir,
-                seed_index=self.retriever.index,
-                compact_every=self.config.compact_every,
+                config.ingest_dir,
+                seed_index=retriever.index,
+                compact_every=config.compact_every,
                 on_compact=self._on_compact,
             )
-            self.retriever.index = self.ingest.index
-        if self.retriever is not None and gced.retriever is None:
+            retriever.index = self.ingest.index
+        if retriever is not None and gced.retriever is None:
             # Ship the index through the pipeline-snapshot plane so
             # post-compaction refreshes re-hydrate pool workers in place.
-            gced.retriever = self.retriever
+            gced.retriever = retriever
         self.distiller = BatchDistiller(
             gced,
-            cache_size=cache_size,
-            workers=workers,
-            backend=backend,
-            breaker_failures=self.config.breaker_failures,
-            breaker_reset_s=self.config.breaker_reset_s,
+            cache_size=config.cache_size,
+            workers=config.workers,
+            backend=config.backend,
+            breaker_failures=config.breaker_failures,
+            breaker_reset_s=config.breaker_reset_s,
         )
-        if self.retriever is not None:
+        if retriever is not None:
             # The retriever is usually built before the service exists;
             # align its breaker thresholds with the serving config.
-            self.retriever.breaker.failure_threshold = (
-                self.config.breaker_failures
-            )
-            self.retriever.breaker.reset_after_s = self.config.breaker_reset_s
-        # Supervised shard fleet (opt-in).  Wraps the index *after* the
-        # ingest plane swapped in its mutable wrapper; compaction rebases
-        # that wrapper in place, so the fleet's reference stays live.
-        self.fleet: ShardFleet | None = None
-        if self.config.fleet and self.retriever is not None:
-            self.fleet = ShardFleet(
-                self.retriever.index,
-                scorer=self.retriever.scorer,
-                breaker_failures=self.config.breaker_failures,
-                breaker_reset_s=self.config.breaker_reset_s,
-            )
-            self.retriever.attach_fleet(self.fleet)
+            retriever.breaker.failure_threshold = config.breaker_failures
+            retriever.breaker.reset_after_s = config.breaker_reset_s
         self.scheduler = MicroBatchScheduler(
             self.distiller,
-            max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.max_wait_ms,
-            max_queue_depth=self.config.max_queue_depth,
+            max_batch_size=config.max_batch_size,
+            max_wait_ms=config.max_wait_ms,
+            max_queue_depth=config.max_queue_depth,
         )
         self.dataset = None  # set by build()
         self._started = time.monotonic()
         self.telemetry = ServiceTelemetry(
             self,
-            trace_sample=self.config.trace_sample,
-            slow_trace_ms=self.config.slow_trace_ms,
+            trace_sample=config.trace_sample,
+            slow_trace_ms=config.slow_trace_ms,
         )
 
     # ------------------------------------------------------- construction
@@ -261,23 +240,11 @@ class DistillService:
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         retriever = CorpusRetriever.build(
             corpus,
-            n_shards=config.retrieval_shards,
             workers=config.workers,
             backend=config.backend,
             metadata={"dataset": config.dataset, "seed": config.seed},
         )
-        service = cls(
-            gced,
-            workers=config.workers,
-            backend=config.backend,
-            cache_size=config.cache_size,
-            max_batch_size=config.max_batch_size,
-            max_wait_ms=config.max_wait_ms,
-            corpus_info=config.dataset,
-            config=config,
-            retriever=retriever,
-            top_k=config.top_k,
-        )
+        service = cls(gced, config, retriever=retriever)
         service.dataset = dataset
         return service
 
@@ -288,48 +255,35 @@ class DistillService:
         *,
         seed: int = 0,
         corpus_info: str = "corpus",
-        **kwargs,
+        retriever: CorpusRetriever | None = _BUILD_RETRIEVER,
+        **fields,
     ) -> "DistillService":
-        """Train artifacts on raw context paragraphs and wire the service."""
+        """Train artifacts on raw context paragraphs and wire the service.
+
+        ``fields`` are :class:`ServiceConfig` fields (an unknown name
+        raises :class:`TypeError`); ``corpus_info`` labels the corpus as
+        ``config.dataset``.  Without ``retriever``, an index over
+        ``corpus`` is built; pass ``retriever=None`` to serve without
+        ``/ask``.
+        """
         from repro.qa.training import QATrainer
 
         corpus = list(corpus)
-        artifacts = QATrainer(seed=seed).train(corpus)
-        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        # Not setdefault: building the index is O(corpus) work that must
-        # not happen when the caller brings their own retriever (or None).
-        if "retriever" not in kwargs:
-            kwargs["retriever"] = CorpusRetriever.build(
-                corpus, metadata={"dataset": corpus_info, "seed": seed}
-            )
+        # Built first so a bad field fails before any O(corpus) work.
         config = ServiceConfig(
             dataset=corpus_info,
             seed=seed,
             n_train=len(corpus),
             n_dev=0,
-            **{
-                key: kwargs[key]
-                for key in (
-                    "workers",
-                    "backend",
-                    "cache_size",
-                    "max_batch_size",
-                    "max_wait_ms",
-                    "max_queue_depth",
-                    "client_rate",
-                    "client_burst",
-                    "trace_sample",
-                    "slow_trace_ms",
-                    "breaker_failures",
-                    "breaker_reset_s",
-                    "ingest_dir",
-                    "compact_every",
-                    "fleet",
-                )
-                if key in kwargs
-            },
+            **fields,
         )
-        return cls(gced, corpus_info=corpus_info, config=config, **kwargs)
+        artifacts = QATrainer(seed=seed).train(corpus)
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        if retriever is _BUILD_RETRIEVER:
+            retriever = CorpusRetriever.build(
+                corpus, metadata={"dataset": corpus_info, "seed": seed}
+            )
+        return cls(gced, config, retriever=retriever)
 
     # ------------------------------------------------------------ serving
     @staticmethod
@@ -483,9 +437,11 @@ class DistillService:
         Raises:
             RuntimeError: the service has no retriever attached.
             RateLimitedError / QueueFullError: shed by admission control.
+            RetrievalUnavailableError: the retrieval breaker is open or
+                the search failed.
         """
         if k is None:
-            k = self.top_k
+            k = self.config.top_k
         deadline = self._deadline(deadline_ms)
         with obs_span("admission.admit", cost=float(k)):
             self.admission.admit(client_id, cost=float(k))
@@ -582,7 +538,7 @@ class DistillService:
                 )
             if page_size is None:
                 raise ValueError("paged ask needs page_size (or a cursor)")
-            k = k if k is not None else self.top_k
+            k = k if k is not None else self.config.top_k
             offset = 0
             cost = float(k)
         if page_size < 1:
@@ -696,12 +652,10 @@ class DistillService:
 
     @property
     def degraded(self) -> bool:
-        """True while any circuit breaker is open/half-open: the service
-        is still answering, but from a reduced path (serial coordinator
-        execution and/or reduced-shard retrieval)."""
+        """True while any circuit breaker is open/half-open: distills
+        run serially in the coordinator, and/or ``/ask`` answers ``503``
+        until the retrieval breaker's cooldown ends."""
         if self.distiller.degraded:
-            return True
-        if self.fleet is not None and self.fleet.degraded:
             return True
         return self.retriever is not None and self.retriever.degraded
 
@@ -721,8 +675,8 @@ class DistillService:
 
         ``failing`` means the scheduler's flusher thread is gone (the
         service cannot serve at all — the probe should restart it);
-        ``degraded`` means a breaker is open and requests are served
-        from a reduced path.
+        ``degraded`` means a breaker is open: distills run serially,
+        and/or ``/ask`` answers ``503`` until retrieval recovers.
         """
         alive = self.scheduler.alive or self.scheduler.closed
         if not alive:
@@ -742,9 +696,6 @@ class DistillService:
                     self.retriever.breaker.state
                     if self.retriever is not None
                     else None
-                ),
-                "fleet_degraded": (
-                    self.fleet.degraded if self.fleet is not None else None
                 ),
             },
         }
@@ -779,7 +730,7 @@ class DistillService:
             }
         return {
             "service": {
-                "corpus": self.corpus_info,
+                "corpus": self.config.dataset,
                 "uptime_seconds": self.uptime_seconds,
                 "config": self.config.to_dict(),
                 # The per-paragraph compiled-artifact cache every QA
@@ -791,7 +742,7 @@ class DistillService:
                         "terms": self.retriever.index.n_terms,
                         "shards": self.retriever.n_shards,
                         "scorer": self.retriever.scorer.name,
-                        "top_k": self.top_k,
+                        "top_k": self.config.top_k,
                     }
                     if self.retriever is not None
                     else None
@@ -825,9 +776,6 @@ class DistillService:
             "ingest": (
                 self.ingest.stats() if self.ingest is not None else None
             ),
-            # Supervised shard-fleet plane (None unless fleet serving is
-            # on): per-worker health, restarts, and breaker states.
-            "fleet": self.fleet.stats() if self.fleet is not None else None,
             "batch": {
                 "n_distilled": batch_stats.n_distilled,
                 "n_cache_hits": batch_stats.n_cache_hits,
@@ -847,8 +795,6 @@ class DistillService:
         requests, then stop the executor pool.  Idempotent."""
         self.scheduler.close(drain=drain)
         self.distiller.close()
-        if self.fleet is not None:
-            self.fleet.close()
         if self.ingest is not None:
             self.ingest.close()
 

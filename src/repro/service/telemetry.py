@@ -65,10 +65,6 @@ class ServiceTelemetry:
             "HTTP requests served, by route and status code",
             labelnames=("route", "status"),
         )
-        self.http_latency = registry.histogram(
-            f"{_PREFIX}_http_request_duration_seconds",
-            "Wall-clock HTTP request latency",
-        )
         self.http_route_latency = registry.histogram(
             f"{_PREFIX}_http_request_seconds",
             "Wall-clock HTTP request latency, by route",
@@ -76,7 +72,8 @@ class ServiceTelemetry:
         )
         self.http_shed = registry.counter(
             f"{_PREFIX}_http_shed_total",
-            "Requests shed by admission control, by reason",
+            "Requests refused with Retry-After (429 shed, 503 retrieval "
+            "unavailable), by reason",
             labelnames=("reason",),
         )
         self.traces_started = registry.counter(
@@ -128,7 +125,6 @@ class ServiceTelemetry:
     ) -> None:
         """Record one finished HTTP request."""
         self.http_requests.labels(route=route, status=str(status)).inc()
-        self.http_latency.observe(seconds)
         self.http_route_latency.labels(route=route).observe(seconds)
         if shed_reason is not None:
             self.http_shed.labels(reason=shed_reason).inc()
@@ -320,7 +316,7 @@ class ServiceTelemetry:
         families.append(
             gauge_family(
                 f"{_PREFIX}_degraded",
-                "1 while any breaker has the service on a reduced path",
+                "1 while any circuit breaker is open or half-open",
                 1.0 if service.degraded else 0.0,
             )
         )
@@ -435,54 +431,6 @@ class ServiceTelemetry:
                         f"{_PREFIX}_ingest_torn_bytes_total",
                         "Torn-tail bytes truncated from WALs on recovery",
                         ingest_stats["torn_bytes"],
-                    ),
-                ]
-            )
-        # Supervised shard-fleet plane: per-shard health/restarts plus
-        # scatter-gather search counters.
-        fleet = getattr(service, "fleet", None)
-        if fleet is not None:
-            fleet_stats = fleet.stats()
-            state_codes = {"healthy": 0, "suspect": 1, "down": 2}
-            workers = fleet_stats["workers"]
-            families.extend(
-                [
-                    gauge_family(
-                        f"{_PREFIX}_shard_state",
-                        "Shard worker health (0 healthy, 1 suspect, 2 down)",
-                        samples=[
-                            Sample(
-                                state_codes.get(worker["state"], 2),
-                                (("shard", str(worker["shard_id"])),),
-                            )
-                            for worker in workers
-                        ],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_shard_restarts_total",
-                        "Shard worker restarts by the supervisor",
-                        samples=[
-                            Sample(
-                                worker["restarts"],
-                                (("shard", str(worker["shard_id"])),),
-                            )
-                            for worker in workers
-                        ],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_shard_searches_total",
-                        "Scatter-gather searches served by the fleet",
-                        fleet_stats["searches"],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_shard_retries_total",
-                        "Shard searches retried after a worker restart",
-                        fleet_stats["retries"],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_shard_degraded_searches_total",
-                        "Fleet searches answered without every shard",
-                        fleet_stats["degraded_searches"],
                     ),
                 ]
             )

@@ -20,6 +20,8 @@ import tempfile
 import textwrap
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -37,13 +39,14 @@ from repro.faults import (
     installed,
     uninstall,
 )
-from repro.retrieval import CorpusRetriever
+from repro.retrieval import CorpusRetriever, RetrievalUnavailableError
 from repro.service import (
     DeadlineExceededError,
     DistillService,
     MicroBatchScheduler,
     RetryPolicy,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
     start_server,
 )
@@ -342,11 +345,12 @@ class TestSchedulerDeadlines:
 
 
 class TestRetrievalDegradation:
-    def test_breaker_trips_to_reduced_shards_and_recovers(self):
+    def test_breaker_trips_to_unavailable_and_recovers(self):
         retriever = CorpusRetriever.build(CORPUS, n_shards=2)
         clock = FakeClock()
-        retriever.breaker.clock = clock
-        retriever.breaker.failure_threshold = 2
+        breaker = retriever.breaker
+        breaker.clock = clock
+        breaker.failure_threshold = 2
         query = "Who led the Norman conquest of England?"
         healthy = retriever.retrieve(query, k=2)
         assert healthy and not retriever.degraded
@@ -355,27 +359,98 @@ class TestRetrievalDegradation:
             (FaultSpec(site="retrieval.search", action="raise", times=2),)
         )
         with injected(plan):
-            first = retriever.retrieve(query, k=2)   # failure 1 -> reduced
-            second = retriever.retrieve(query, k=2)  # failure 2 -> trips open
+            with pytest.raises(RetrievalUnavailableError) as first:
+                retriever.retrieve(query, k=2)  # failure 1, still closed
+            with pytest.raises(RetrievalUnavailableError) as second:
+                retriever.retrieve(query, k=2)  # failure 2 -> trips open
         assert plan.fired("retrieval.search") == 2
-        assert retriever.degraded
-        assert retriever.breaker.state == "open"
-        # Degraded rankings are deterministic over the kept shard subset,
-        # and served without touching the scorer while the breaker is open.
-        third = retriever.retrieve(query, k=2)
-        assert first == second == third
-        assert all(hit.text for hit in third)
-        info = retriever.recovery_info()
-        assert info["degraded"] is True
-        assert info["degraded_searches"] == 3
-        assert info["reduced_shards"] == 1 and info["n_shards"] == 2
+        assert first.value.retry_after == 0.0
+        assert second.value.retry_after == breaker.reset_after_s
+        assert breaker.state == "open" and retriever.degraded
+
+        # While open: refused with the remaining cooldown, no scoring.
+        scored = []
+        top_k = retriever.scorer.top_k
+        retriever.scorer.top_k = lambda *a: scored.append(a) or top_k(*a)
+        clock.now += 10.0
+        with pytest.raises(RetrievalUnavailableError) as third:
+            retriever.retrieve(query, k=2)
+        assert third.value.retry_after == breaker.reset_after_s - 10.0
+        assert scored == []
+        assert retriever.recovery_info()["breaker"]["rejected"] == 1
 
         # Cooldown elapses -> half-open trial succeeds -> fully closed,
         # and the ranking is the healthy one again.
-        clock.now += retriever.breaker.reset_after_s + 1.0
+        clock.now += breaker.reset_after_s
         assert retriever.retrieve(query, k=2) == healthy
-        assert retriever.breaker.state == "closed"
-        assert not retriever.degraded
+        assert len(scored) == 1
+        assert breaker.state == "closed" and not retriever.degraded
+
+    @pytest.mark.chaos
+    def test_open_breaker_ask_answers_503_under_live_ingest(
+        self, artifacts, tmp_path
+    ):
+        from repro import GCED
+        from repro.retrieval import MutableInvertedIndex
+
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        service = DistillService(
+            gced,
+            config=ServiceConfig(max_wait_ms=1, ingest_dir=str(tmp_path)),
+            retriever=CorpusRetriever.build(CORPUS, n_shards=2),
+        )
+        assert isinstance(service.retriever.index, MutableInvertedIndex)
+        breaker = service.retriever.breaker
+        breaker.clock = FakeClock()
+        server, _thread = start_server(service, quiet=True)
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        question, answer, _context = QA_CASES[0]
+
+        def ranking() -> list[int]:
+            payload = client.ask(question, answer, k=2)
+            return [c["retrieval"]["doc_id"] for c in payload["candidates"]]
+
+        scored = []
+        top_k = service.retriever.scorer.top_k
+        service.retriever.scorer.top_k = (
+            lambda *args: scored.append(args) or top_k(*args)
+        )
+        try:
+            client.ingest(["zyzzyva quokka xylophone marmalade"])
+            before = ranking()
+            assert len(scored) == 1
+            for _ in range(breaker.failure_threshold):
+                breaker.record_failure()
+            scored.clear()
+            client.ingest(["quixotic zephyr jubilant kumquat"])
+            body = json.dumps({"question": question, "answer": answer})
+            request = urllib.request.Request(
+                f"http://{host}:{port}/ask",
+                data=body.encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=30)
+            refused = excinfo.value
+            assert refused.code == 503
+            retry_after = refused.headers["Retry-After"]
+            assert retry_after.isdigit() and int(retry_after) >= 1
+            payload = json.loads(refused.read())
+            assert payload["retry_after_seconds"] == breaker.reset_after_s
+            assert scored == []  # the open breaker did no scoring
+
+            assert client.healthz()["status"] == "degraded"
+            metrics = client.metrics_text()
+            assert 'gced_breaker_state{breaker="retrieval"} 2' in metrics
+
+            breaker.clock.now += breaker.reset_after_s
+            assert ranking() == before
+            assert breaker.state == "closed"
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.close()
 
 
 # -------------------------------------------------------- snapshot plane
@@ -594,8 +669,7 @@ class TestCrashRecovery:
 def served(gced):
     service = DistillService(
         gced,
-        max_batch_size=4,
-        max_wait_ms=10,
+        config=ServiceConfig(max_batch_size=4, max_wait_ms=10),
         retriever=CorpusRetriever.build(CORPUS, n_shards=2),
     )
     server, _thread = start_server(service, quiet=True)
@@ -623,7 +697,7 @@ class TestServingFaults:
     def test_healthz_and_responses_surface_degradation(self, served):
         service, client = served
         assert client.healthz()["status"] == "ok"
-        question, answer, _context = QA_CASES[0]
+        question, answer, context = QA_CASES[0]
         healthy = client.ask(question, answer, k=2)
         assert "degraded" not in healthy  # byte-identical healthy path
 
@@ -634,7 +708,7 @@ class TestServingFaults:
             health = client.healthz()
             assert health["status"] == "degraded"
             assert health["checks"]["retrieval_breaker"] == "open"
-            degraded = client.ask(question, answer, k=2)
+            degraded = client.distill(question, answer, context)
             assert degraded["degraded"] is True
             stats = client.stats()
             assert stats["faults"]["degraded"] is True

@@ -1,4 +1,4 @@
-"""Durable live-corpus ingestion: WAL, mutable index, compaction, fleet.
+"""Durable live-corpus ingestion: WAL, mutable index, compaction, serving.
 
 The load-bearing contracts, each pinned here:
 
@@ -14,8 +14,6 @@ The load-bearing contracts, each pinned here:
   recoverable: no acknowledged write is lost, tombstoned documents are
   never returned, and post-recovery results equal an independent offline
   rebuild (chaos-marked);
-* the supervised shard fleet ranks exactly like inline search, restarts
-  dead workers, and degrades to the surviving shards;
 * a post-compaction snapshot refresh re-hydrates the existing process
   pool (same worker pids, bumped generation) without a respawn.
 """
@@ -32,7 +30,7 @@ import textwrap
 
 import pytest
 
-from repro.faults import ENV_VAR, FaultPlan, FaultSpec, injected
+from repro.faults import ENV_VAR
 from repro.retrieval import (
     BM25Scorer,
     CorpusRetriever,
@@ -40,7 +38,6 @@ from repro.retrieval import (
     InvertedIndex,
     MutableInvertedIndex,
     Segment,
-    ShardFleet,
     WalRecord,
     WriteAheadLog,
     load_index,
@@ -357,74 +354,6 @@ class TestIngestManager:
             assert reopened.stats()["replayed_records"] == 0
 
 
-# ------------------------------------------------------------ shard fleet
-class TestShardFleet:
-    def test_fleet_matches_inline_ranking(self):
-        index = InvertedIndex.build(SEED, n_shards=2)
-        live = MutableInvertedIndex(index)
-        live.add("payload record zero token0")
-        live.apply_delete(1)
-        scorer = BM25Scorer()
-        with ShardFleet(live, scorer=scorer) as fleet:
-            for query in QUERIES:
-                assert fleet.search(query, 4) == scorer.top_k(live, query, 4)
-
-    def test_failed_shard_retries_then_succeeds(self):
-        index = InvertedIndex.build(SEED, n_shards=2)
-        with injected(FaultPlan.parse("shard.search:raise:times=1")):
-            with ShardFleet(index, scorer=BM25Scorer()) as fleet:
-                hits = fleet.search("battle of hastings", 4)
-                assert hits == BM25Scorer().top_k(
-                    index, "battle of hastings", 4
-                )
-                assert fleet.stats()["retries"] == 1
-                assert not fleet.degraded
-
-    def test_persistent_shard_failure_degrades_to_survivors(self):
-        index = InvertedIndex.build(SEED, n_shards=2)
-        plan = FaultPlan(
-            (FaultSpec(site="shard.search", action="raise", match="0:"),)
-        )
-        with injected(plan):
-            with ShardFleet(
-                index, scorer=BM25Scorer(), breaker_failures=1
-            ) as fleet:
-                hits = fleet.search("battle of hastings", 4)
-                # Shard 0's docs (even ids) are gone; survivors still rank.
-                assert hits
-                assert all(doc_id % 2 == 1 for doc_id, _score in hits)
-                assert fleet.degraded
-                assert fleet.stats()["degraded_searches"] >= 1
-                # The open breaker now skips shard 0 without waiting.
-                again = fleet.search("battle of hastings", 4)
-                assert again == hits
-
-    def test_supervisor_restarts_dead_worker(self):
-        from repro.retrieval.fleet import _STOP
-
-        index = InvertedIndex.build(SEED, n_shards=2)
-        with ShardFleet(index, scorer=BM25Scorer()) as fleet:
-            worker = fleet.workers[0]
-            worker._queue.put(_STOP)  # simulate the thread dying
-            worker._thread.join(timeout=2.0)
-            assert worker.health() == "down"
-            fleet.supervise()
-            assert worker.health() == "healthy"
-            assert worker.restarts == 1
-            hits = fleet.search("battle of hastings", 4)
-            assert hits == BM25Scorer().top_k(index, "battle of hastings", 4)
-
-    def test_retriever_routes_through_fleet(self):
-        retriever = CorpusRetriever.build(SEED, n_shards=2)
-        inline = retriever.retrieve("battle of hastings", k=3)
-        with ShardFleet(retriever.index, scorer=retriever.scorer) as fleet:
-            retriever.attach_fleet(fleet)
-            fleeted = retriever.retrieve("battle of hastings", k=3)
-        assert [(hit.doc_id, hit.score) for hit in fleeted] == [
-            (hit.doc_id, hit.score) for hit in inline
-        ]
-
-
 # ------------------------------------------------- SIGKILL crash recovery
 _CHILD_SCRIPT = textwrap.dedent(
     """
@@ -550,17 +479,23 @@ class TestSigkillRecovery:
 @pytest.fixture(scope="module")
 def ingest_served(artifacts, tmp_path_factory):
     from repro import GCED
-    from repro.service import DistillService, ServiceClient, start_server
+    from repro.service import (
+        DistillService,
+        ServiceClient,
+        ServiceConfig,
+        start_server,
+    )
 
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     directory = tmp_path_factory.mktemp("ingest-served")
     service = DistillService(
         gced,
-        max_batch_size=4,
-        max_wait_ms=10,
+        config=ServiceConfig(
+            max_batch_size=4,
+            max_wait_ms=10,
+            ingest_dir=str(directory),
+        ),
         retriever=CorpusRetriever.build(SEED, n_shards=2),
-        ingest_dir=str(directory),
-        fleet=True,
     )
     server, _thread = start_server(service, quiet=True)
     host, port = server.server_address[:2]
@@ -583,7 +518,7 @@ class TestIngestHTTP:
         deleted = client.delete_doc(added["doc_ids"][0])
         assert deleted["deleted"] == added["doc_ids"][0]
         assert deleted["live_docs"] == before + 1
-        # The fleet serves the freshly ingested doc (doc never tombstoned).
+        # Retrieval serves the freshly ingested doc (never tombstoned).
         hits = service.retriever.retrieve("payload record tokenbeta", k=2)
         assert added["doc_ids"][1] in [hit.doc_id for hit in hits]
 
@@ -611,9 +546,8 @@ class TestIngestHTTP:
             service.ingest.stats()["live_docs"]
         )
         assert stats["ingest"]["wal_bytes"] > 0
-        assert stats["fleet"]["n_shards"] == 2
-        states = {worker["state"] for worker in stats["fleet"]["workers"]}
-        assert states <= {"healthy", "suspect"}
+        # The shard fleet is retired: no block, searches run inline.
+        assert "fleet" not in stats
 
     def test_metrics_expose_ingest_fleet_and_route_latency(
         self, ingest_served
@@ -624,8 +558,9 @@ class TestIngestHTTP:
         assert 'gced_ingest_docs_total{op="add"}' in text
         assert "gced_ingest_live_docs" in text
         assert "gced_ingest_wal_bytes" in text
-        assert 'gced_shard_state{shard="0"}' in text
         assert 'gced_http_request_seconds_bucket{route="/healthz",le="' in text
+        # Retired with the fleet: per-shard families.
+        assert "gced_shard" not in text
 
     def test_ingest_without_plane_is_503(self, artifacts, tmp_path):
         from repro import GCED
@@ -659,14 +594,13 @@ class TestIngestHTTP:
         self, artifacts, tmp_path
     ):
         from repro import GCED
-        from repro.service import DistillService
+        from repro.service import DistillService, ServiceConfig
 
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         with DistillService(
             gced,
+            config=ServiceConfig(ingest_dir=str(tmp_path), compact_every=2),
             retriever=CorpusRetriever.build(SEED, n_shards=2),
-            ingest_dir=str(tmp_path),
-            compact_every=2,
         ) as service:
             service.ingest_dicts(["payload record zero token0"])
             assert service.stats()["ingest"]["generation"] == 0
@@ -680,14 +614,14 @@ class TestIngestHTTP:
 
     def test_reopened_service_replays_acked_writes(self, artifacts, tmp_path):
         from repro import GCED
-        from repro.service import DistillService
+        from repro.service import DistillService, ServiceConfig
 
         def make_service():
             gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
             return DistillService(
                 gced,
+                config=ServiceConfig(ingest_dir=str(tmp_path)),
                 retriever=CorpusRetriever.build(SEED, n_shards=2),
-                ingest_dir=str(tmp_path),
             )
 
         with make_service() as service:

@@ -45,7 +45,12 @@ from repro.obs.metrics import (
     sample_value,
 )
 from repro.retrieval import CorpusRetriever
-from repro.service import DistillService, ServiceClient, start_server
+from repro.service import (
+    DistillService,
+    ServiceClient,
+    ServiceConfig,
+    start_server,
+)
 from repro.service.scheduler import MicroBatchScheduler
 from repro.service.telemetry import ServiceTelemetry
 from repro.utils.timing import Timer
@@ -544,10 +549,12 @@ def served_obs(artifacts):
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     service = DistillService(
         gced,
-        max_batch_size=4,
-        max_wait_ms=5,
+        config=ServiceConfig(
+            max_batch_size=4,
+            max_wait_ms=5,
+            slow_trace_ms=0.0,  # keep every finished trace in the ring
+        ),
         retriever=CorpusRetriever.build(CORPUS, n_shards=2),
-        slow_trace_ms=0.0,  # keep every finished trace in the ring
     )
     server, _thread = start_server(service, quiet=True)
     host, port = server.server_address[:2]
@@ -654,7 +661,12 @@ class TestHTTPTelemetry:
     def test_trace_sample_zero_service_stays_dark(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         with DistillService(
-            gced, max_wait_ms=1, trace_sample=0.0, slow_trace_ms=0.0
+            gced,
+            config=ServiceConfig(
+                max_wait_ms=1,
+                trace_sample=0.0,
+                slow_trace_ms=0.0,
+            ),
         ) as service:
             service.distill(*QA_CASES[0])
             assert service.telemetry.stats_block()["traces_started"] == 0

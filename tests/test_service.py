@@ -8,6 +8,8 @@ conftest artifacts.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import threading
 import time
@@ -29,6 +31,7 @@ from repro.service import (
     QueueFullError,
     RateLimitedError,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
     TokenBucket,
     decode_cursor,
@@ -219,7 +222,8 @@ class TestCoalescing:
         )
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         with DistillService(
-            gced, max_batch_size=64, max_wait_ms=200
+            gced,
+            config=ServiceConfig(max_batch_size=64, max_wait_ms=200),
         ) as service:
             requests = [
                 service.submit(question, answer, context) for _ in range(8)
@@ -423,7 +427,8 @@ class TestServedEquivalence:
         }
         served_gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         with DistillService(
-            served_gced, max_batch_size=4, max_wait_ms=10
+            served_gced,
+            config=ServiceConfig(max_batch_size=4, max_wait_ms=10),
         ) as service:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 served = list(
@@ -437,7 +442,10 @@ class TestServedEquivalence:
 
     def test_distill_batch_isolates_poisoned_triple(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with DistillService(gced, max_batch_size=4, max_wait_ms=5) as service:
+        with DistillService(
+            gced,
+            config=ServiceConfig(max_batch_size=4, max_wait_ms=5),
+        ) as service:
             outcomes = service.distill_batch(
                 [QA_CASES[0], ("q", "a", "   "), QA_CASES[1]]
             )
@@ -469,13 +477,89 @@ class TestServedEquivalence:
         assert stats.n_distilled >= len(QA_CASES)
 
 
+class TestServiceConfig:
+    """``ServiceConfig`` is the one spelling of every serving knob."""
+
+    @staticmethod
+    def _recorded_ask_k(service) -> int:
+        seen = []
+
+        def retrieve_for_qa(question, answer, k):
+            seen.append(k)
+            return []
+
+        service.retriever.retrieve_for_qa = retrieve_for_qa
+        service.ask("Who won?", "the Rams")
+        return seen[0]
+
+    def test_every_serving_value_comes_from_config(self, artifacts):
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        config = ServiceConfig(
+            workers=2, backend="process", cache_size=7, top_k=5
+        )
+        with DistillService(
+            gced, config=config, retriever=CorpusRetriever.build(CORPUS)
+        ) as service:
+            assert service.distiller.executor.workers == 2
+            assert service.distiller._results.capacity == 7
+            assert self._recorded_ask_k(service) == 5
+            assert service.stats()["service"]["config"] == config.to_dict()
+
+    def test_default_config_keeps_honest_dataset_labels(self, artifacts):
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        with DistillService(gced) as service:
+            config = service.stats()["service"]["config"]
+        assert config["dataset"] == "custom" and config["seed"] == -1
+        assert config["n_train"] == config["n_dev"] == 0
+        assert config["cache_size"] == ServiceConfig().cache_size
+
+    def test_from_corpus_forwards_fields_to_config(self):
+        with DistillService.from_corpus(CORPUS, top_k=5) as service:
+            stats = service.stats()["service"]
+            assert stats["config"]["top_k"] == 5
+            assert stats["retrieval"]["top_k"] == 5
+            assert self._recorded_ask_k(service) == 5
+
+    def test_from_corpus_rejects_unknown_field_by_name(self):
+        with pytest.raises(TypeError, match="retrieval_width"):
+            DistillService.from_corpus(CORPUS, retrieval_width=2)
+
+    def test_serve_flags_mirror_config_fields(self):
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        subparsers = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        serve = subparsers.choices["serve"]
+        fields = {knob.name: knob for knob in dataclasses.fields(ServiceConfig)}
+        process_flags = {"help", "host", "port", "log_level", "self_test"}
+        config_flags = [
+            action
+            for action in serve._actions
+            if action.dest not in process_flags
+        ]
+        assert sorted(action.dest for action in config_flags) == sorted(fields)
+        for action in config_flags:
+            knob = fields[action.dest]
+            assert action.option_strings == [
+                "--" + knob.name.replace("_", "-")
+            ]
+            assert action.default == knob.default
+        args = parser.parse_args(["serve"])
+        assert ServiceConfig(
+            **{name: getattr(args, name) for name in fields}
+        ) == ServiceConfig()
+
+
 @pytest.fixture(scope="module")
 def served(artifacts):
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     service = DistillService(
         gced,
-        max_batch_size=4,
-        max_wait_ms=10,
+        config=ServiceConfig(max_batch_size=4, max_wait_ms=10),
         retriever=CorpusRetriever.build(CORPUS, n_shards=2),
     )
     server, _thread = start_server(service, quiet=True)
@@ -655,7 +739,10 @@ class TestAskEndpoint:
 
     def test_ask_without_retriever_raises_inline(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with DistillService(gced, max_wait_ms=1) as service:
+        with DistillService(
+            gced,
+            config=ServiceConfig(max_wait_ms=1),
+        ) as service:
             with pytest.raises(RuntimeError, match="no retriever"):
                 service.ask("q", "a")
 
@@ -756,10 +843,12 @@ def limited(artifacts):
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     service = DistillService(
         gced,
-        max_batch_size=4,
-        max_wait_ms=5,
-        client_rate=0.01,
-        client_burst=2.0,
+        config=ServiceConfig(
+            max_batch_size=4,
+            max_wait_ms=5,
+            client_rate=0.01,
+            client_burst=2.0,
+        ),
         retriever=CorpusRetriever.build(CORPUS, n_shards=2),
     )
     server, _thread = start_server(service, quiet=True)
