@@ -130,7 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"index file to write (default: {DEFAULT_INDEX_PATH})",
     )
     p_index.add_argument(
-        "--shards", type=int, default=4, help="inverted-index shard count"
+        "--shards",
+        type=int,
+        default=4,
+        help="shard count of the persisted index layout",
     )
     p_index.add_argument("--n-train", type=int, default=120)
     p_index.add_argument("--n-dev", type=int, default=60)

@@ -1,9 +1,9 @@
-"""Sharded corpus retrieval: the open-context front door of the system.
+"""Columnar corpus retrieval: the open-context front door of the system.
 
 The paper's pipeline assumes the supporting paragraph is *given*; every
 real serving scenario starts one step earlier.  This package finds the
-context: a sharded inverted index (:mod:`~repro.retrieval.index`) built
-in parallel on the engine executors, BM25/TF-IDF ranking
+context: a columnar inverted index (:mod:`~repro.retrieval.index`) built
+in parallel on the engine executors, vectorized BM25/TF-IDF ranking
 (:mod:`~repro.retrieval.bm25`) sharing its term-weighting formulas
 (:mod:`~repro.retrieval.weighting`) with the QA layer's TF-IDF scorer,
 versioned JSON persistence (:mod:`~repro.retrieval.store`) so indexes
@@ -22,7 +22,7 @@ from repro.retrieval.bm25 import (
     TfidfScorer,
     make_scorer,
 )
-from repro.retrieval.index import IndexShard, InvertedIndex, build_shard
+from repro.retrieval.index import InvertedIndex
 from repro.retrieval.ingest import IngestManager
 from repro.retrieval.mutable import MutableInvertedIndex
 from repro.retrieval.retriever import (
@@ -57,7 +57,6 @@ __all__ = [
     "CorpusRetriever",
     "INDEX_FORMAT",
     "INDEX_VERSION",
-    "IndexShard",
     "IngestManager",
     "InvertedIndex",
     "MutableInvertedIndex",
@@ -71,7 +70,6 @@ __all__ = [
     "WriteAheadLog",
     "bm25_idf",
     "bm25_tf",
-    "build_shard",
     "idf_table",
     "index_to_json",
     "load_index",

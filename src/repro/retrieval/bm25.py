@@ -1,4 +1,4 @@
-"""Ranking scorers over the sharded inverted index.
+"""Vectorized ranking scorers over the columnar inverted index.
 
 Two scorers share the :mod:`repro.retrieval.weighting` utilities (the same
 IDF family :class:`repro.qa.tfidf.TfidfQA` weighs spans with):
@@ -8,18 +8,21 @@ IDF family :class:`repro.qa.tfidf.TfidfQA` weighs spans with):
 * :class:`TfidfScorer` — sublinear TF × smoothed IDF; a simpler reference
   point and an ablation partner for BM25.
 
-Determinism is part of the scoring contract: query terms are accumulated
-in sorted order (float addition is not associative, so iteration order
-must be pinned), and :meth:`RankingScorer.top_k` breaks score ties by
-ascending ``doc_id``.  Two runs — or two processes — always return the
-same ranking for the same index and query.
+Determinism is part of the scoring contract: each query term weighs its
+whole posting column in the scalar formulas' operation order (``+ − × ÷``
+round in numpy as in Python; logs come from :func:`math.log`), terms are
+accumulated in sorted order (float addition is not associative), and
+:meth:`RankingScorer.top_k` breaks score ties by ascending ``doc_id`` —
+scores equal a per-posting Python scorer's bit for bit.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from repro.retrieval.index import InvertedIndex, query_terms
+import numpy as np
+
+from repro.retrieval.index import query_terms
 from repro.retrieval.weighting import bm25_idf, bm25_tf, log_tf, smoothed_idf
 
 __all__ = ["BM25Scorer", "RankingScorer", "TfidfScorer", "make_scorer"]
@@ -30,27 +33,32 @@ class RankingScorer:
 
     name = "abstract"
 
-    def term_weight(
-        self, index: InvertedIndex, term: str, tf: int, doc_len: int
-    ) -> float:
+    def term_weights(self, n_docs: int, tf, dl, avg_doc_len: float):
+        """Weights of one term's postings (``tf``/``dl`` are arrays)."""
         raise NotImplementedError
 
-    def score_all(self, index: InvertedIndex, query: str) -> dict[int, float]:
-        """Accumulated score per matching document (absent = no overlap)."""
+    def _accumulate(self, index, query: str) -> tuple[np.ndarray, np.ndarray]:
+        """Scores over the id space, and the mask of ids any term matched."""
+        view = index.read_view()
+        scores = np.zeros(len(view.lengths))
+        touched = np.zeros(len(view.lengths), dtype=bool)
         counts = Counter(query_terms(query))
-        scores: dict[int, float] = {}
         for term in sorted(counts):
-            qtf = counts[term]
-            for doc_id, tf in index.postings(term):
-                weight = self.term_weight(
-                    index, term, tf, index.doc_length(doc_id)
-                )
-                scores[doc_id] = scores.get(doc_id, 0.0) + qtf * weight
-        return scores
+            ids, tf = view.live_column(term)
+            # Ids are unique within a column, so the scatter-add is exact.
+            scores[ids] += counts[term] * self.term_weights(
+                view.n_docs, tf, view.lengths[ids], view.avg_doc_len
+            )
+            touched[ids] = True
+        return scores, touched
 
-    def top_k(
-        self, index: InvertedIndex, query: str, k: int
-    ) -> list[tuple[int, float]]:
+    def score_all(self, index, query: str) -> dict[int, float]:
+        """Accumulated score per matching document (absent = no overlap)."""
+        scores, touched = self._accumulate(index, query)
+        ids = np.flatnonzero(touched)
+        return dict(zip(ids.tolist(), scores[ids].tolist()))
+
+    def top_k(self, index, query: str, k: int) -> list[tuple[int, float]]:
         """The ``k`` best ``(doc_id, score)`` pairs, deterministically.
 
         Ordered by score descending; exact ties resolve to the lower
@@ -59,9 +67,16 @@ class RankingScorer:
         """
         if k < 1:
             raise ValueError("k must be at least 1")
-        scores = self.score_all(index, query)
-        ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-        return ranked[:k]
+        scores, touched = self._accumulate(index, query)
+        ids = np.flatnonzero(touched)
+        found = scores[ids]
+        if len(ids) > k:
+            # Tie-inclusive cut: every id scoring at least the k-th best
+            # survives, so the doc_id tie-break sees the whole tied group.
+            keep = found >= np.partition(found, len(found) - k)[len(found) - k]
+            ids, found = ids[keep], found[keep]
+        order = np.lexsort((ids, -found))[:k]
+        return list(zip(ids[order].tolist(), found[order].tolist()))
 
 
 class BM25Scorer(RankingScorer):
@@ -77,11 +92,9 @@ class BM25Scorer(RankingScorer):
         self.k1 = k1
         self.b = b
 
-    def term_weight(
-        self, index: InvertedIndex, term: str, tf: int, doc_len: int
-    ) -> float:
-        return bm25_idf(index.n_docs, index.doc_freq(term)) * bm25_tf(
-            tf, doc_len, index.avg_doc_len, k1=self.k1, b=self.b
+    def term_weights(self, n_docs, tf, dl, avg_doc_len):
+        return bm25_idf(n_docs, len(tf)) * bm25_tf(
+            tf, dl, avg_doc_len, k1=self.k1, b=self.b
         )
 
 
@@ -90,10 +103,9 @@ class TfidfScorer(RankingScorer):
 
     name = "tfidf"
 
-    def term_weight(
-        self, index: InvertedIndex, term: str, tf: int, doc_len: int
-    ) -> float:
-        return smoothed_idf(index.n_docs, index.doc_freq(term)) * log_tf(tf)
+    def term_weights(self, n_docs, tf, dl, avg_doc_len):
+        log_tfs = np.array([log_tf(n) for n in range(int(tf.max(initial=0)) + 1)])
+        return smoothed_idf(n_docs, len(tf)) * log_tfs[tf]
 
 
 _SCORERS = {"bm25": BM25Scorer, "tfidf": TfidfScorer}

@@ -37,7 +37,7 @@ from __future__ import annotations
 import pathlib
 import threading
 import time
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.faults import fault_point
 from repro.obs.logs import get_logger
@@ -251,11 +251,7 @@ class IngestManager:
         was never allocated or is already dead.
         """
         with self._lock, obs_span("ingest.delete", doc_id=doc_id):
-            if (
-                doc_id < 0
-                or doc_id >= self.index.next_doc_id
-                or doc_id in self.index.tombstones
-            ):
+            if not self.index.is_live(doc_id):
                 raise KeyError(f"no live document {doc_id}")
             record = WalRecord(seq=self._next_seq, op="delete", doc_id=doc_id)
             self._next_seq += 1
@@ -326,7 +322,7 @@ class IngestManager:
             "compaction complete",
             generation=generation,
             live_docs=self.index.n_docs,
-            tombstones=len(self.index.tombstones),
+            tombstones=self.index.n_tombstones,
             ms=round(self._last_compaction_ms, 2),
         )
         return {
@@ -358,7 +354,7 @@ class IngestManager:
                 "applied_seq": self._applied_seq,
                 "next_seq": self._next_seq,
                 "live_docs": self.index.n_docs,
-                "tombstones": len(self.index.tombstones),
+                "tombstones": self.index.n_tombstones,
                 "delta_docs": self.index.delta_docs,
                 "docs_added": self._docs_added,
                 "docs_deleted": self._docs_deleted,

@@ -1,15 +1,12 @@
-"""A mutable overlay over the immutable sharded inverted index.
+"""A mutable overlay over the immutable columnar inverted index.
 
 :class:`MutableInvertedIndex` is the in-memory half of the ingestion
-subsystem: it layers *delta* postings (documents added since the last
-compaction) and a *tombstone* set (documents deleted since then) over an
-immutable :class:`~repro.retrieval.index.InvertedIndex` base, while
-presenting the exact scorer surface (``n_docs`` / ``avg_doc_len`` /
-``doc_freq`` / ``postings`` / ``doc_length`` / ``doc_text``) the ranking
-layer already consumes — BM25 over the overlay is *byte-identical* to
-BM25 over a from-scratch index of the same live corpus, because every
-statistic is integer-derived and accumulated in the same sorted-term
-order.
+subsystem: a small *delta* segment (columns of documents added since the
+last compaction) and a *tombstone* mask over an immutable
+:class:`~repro.retrieval.index.InvertedIndex` base, behind the same
+``read_view`` the scorers consume — BM25 over the overlay is
+*byte-identical* to BM25 over a from-scratch index of the same live
+corpus, because every statistic is integer-derived.
 
 Identity semantics: document ids are append-only and never reused.  A
 deleted document keeps its id slot forever (its text becomes ``""`` and
@@ -17,12 +14,16 @@ its postings vanish), so ranked results and paged cursors that embed
 ``doc_id`` stay stable across deletes and compactions.  ``n_docs``,
 ``avg_doc_len`` and ``doc_freq`` count *live* documents only.
 
-Reader/writer discipline: one writer at a time (the ingest manager holds
-the write lock); readers are lock-free.  Mutations publish in an order
-that keeps concurrent readers consistent — an add becomes *findable*
-last (text → length → statistics → postings), a delete becomes
-*invisible* first (tombstone → statistics) — so a reader never sees a
-document in the postings without its length and text.
+Reader/writer discipline: one writer at a time, under the index lock.
+Every mutation drops the published :class:`ReadView`; the first search
+after it builds a fresh view *under the same lock* — ``[:n]`` slices of
+the length array, the tombstone mask and each delta column, plus the
+live statistics — and publishes it with one assignment.  A search reads
+exactly one view and never touches mutable state, so it never sees a
+posting without its length, or a delete half applied.  An add costs
+O(tokens) amortized (its postings wait in per-term lists, then land past
+the published slices of doubling buffers); a delete copies the mask only
+if a view holds it.
 """
 
 from __future__ import annotations
@@ -32,14 +33,25 @@ import threading
 from collections import Counter
 from typing import Iterable
 
-from repro.retrieval.index import IndexShard, InvertedIndex, Posting
+import numpy as np
+
+from repro.retrieval.index import _EMPTY, Column, InvertedIndex, ReadView, _ViewStats
 from repro.text.tokenizer import word_tokens
 
 __all__ = ["MutableInvertedIndex"]
 
 
-class MutableInvertedIndex:
-    """Delta postings + tombstones over an immutable base index.
+def _room(buf: np.ndarray, need: int, fill) -> np.ndarray:
+    """``buf`` if it fits ``need`` entries, else a doubled copy (new slots ``fill``)."""
+    if need <= len(buf):
+        return buf
+    grown = np.full(max(need, 2 * len(buf), 16), fill, buf.dtype)
+    grown[: len(buf)] = buf
+    return grown
+
+
+class MutableInvertedIndex(_ViewStats):
+    """Delta columns + a tombstone mask over an immutable base index.
 
     Args:
         base: the compacted (or freshly built) immutable index.
@@ -48,28 +60,27 @@ class MutableInvertedIndex:
             append-only across restarts; their slots hold ``""``.
     """
 
-    def __init__(
-        self, base: InvertedIndex, tombstones: Iterable[int] = ()
-    ) -> None:
+    def __init__(self, base: InvertedIndex, tombstones: Iterable[int] = ()) -> None:
         self._base = base
-        self._n_shards = len(base.shards)
         self._lock = threading.RLock()
-        self._delta_lengths: list[dict[int, int]] = [
-            {} for _ in range(self._n_shards)
-        ]
-        self._delta_postings: list[dict[str, list[Posting]]] = [
-            {} for _ in range(self._n_shards)
-        ]
+        # Id-space buffers: slots past the frontier _n read -1 / dead until
+        # an add claims one, so skipped ids stay tombstoned gaps.  The
+        # shared base.lengths has no spare room, so it is never written.
+        self._n = len(base.docs)
+        self._lengths = base.lengths
+        self._dead = np.zeros(self._n, dtype=bool)
+        self._dead[list(tombstones)] = True
+        self._dead_shared = False  # a published view holds self._dead
+        self._n_dead = int(self._dead.sum())
+        self._live = self._n - self._n_dead
+        self._total_len = int(self._lengths[(self._lengths >= 0) & ~self._dead].sum())
+        # Delta columns: capacity buffers, their published slices, and the
+        # postings added since the last view (moved into the buffers then).
+        self._delta_buf: dict[str, Column] = {}
+        self._delta: dict[str, Column] = {}
+        self._pending: dict[str, tuple[list[int], list[int]]] = {}
         self._extra_docs: dict[int, str] = {}
-        self._tombstones: set[int] = set()
-        self._doc_freq: dict[str, int] = dict(base._doc_freq)
-        self._total_len = base._total_len
-        self._live = len(base.docs)
-        self._next_doc_id = len(base.docs)
-        self._shards_cache: tuple[IndexShard, ...] | None = None
-        for doc_id in sorted(set(tombstones)):
-            self._subtract(doc_id, base.docs[doc_id])
-            self._tombstones.add(doc_id)
+        self._view: ReadView | None = None
 
     # ---------------------------------------------------------- snapshot
     def __getstate__(self) -> dict:
@@ -79,13 +90,12 @@ class MutableInvertedIndex:
             return {"_hollow": True}
         state = self.__dict__.copy()
         state.pop("_lock", None)
-        state.pop("_shards_cache", None)
+        state["_view"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
-        self._shards_cache = None
 
     def __getattr__(self, name: str):
         if self.__dict__.get("_hollow") and not name.startswith("__"):
@@ -103,22 +113,19 @@ class MutableInvertedIndex:
                 "but no snapshot is active in this process"
             )
         loaded = MutableInvertedIndex.from_snapshot_bytes(blob)
-        state = loaded.__dict__.copy()
-        state["_hollow"] = False
-        self.__dict__.update(state)
+        self.__dict__.update(loaded.__dict__, _hollow=False)
 
     def to_snapshot_bytes(self) -> bytes:
         """Canonical bytes for the pipeline snapshot's ``index`` section.
 
-        The live overlay is materialized (delta folded into shard form)
-        and shipped with the tombstone ids so workers reconstruct the
-        same live statistics; a delta-free index snapshots to the same
-        bytes run over run.
+        The folded overlay plus the tombstone ids, so workers rebuild the
+        same live statistics; the lock is held only to capture the view.
         """
+        folded, tombstones = self._fold()
         payload = {
             "format": "gced-mutable-index",
-            "index": self.compacted().to_dict(),
-            "tombstones": sorted(self._tombstones),
+            "index": folded.to_dict(),
+            "tombstones": tombstones,
         }
         return json.dumps(
             payload, sort_keys=True, separators=(",", ":")
@@ -132,50 +139,39 @@ class MutableInvertedIndex:
             tombstones=payload.get("tombstones", ()),
         )
 
-    # ------------------------------------------------------------ scorer surface
-    @property
-    def n_docs(self) -> int:
-        """Live documents (tombstones excluded)."""
-        return self._live
+    # ------------------------------------------------------------ read view
+    def read_view(self) -> ReadView:
+        """The current consistent view, rebuilt after each mutation."""
+        view = self._view
+        if view is None:
+            with self._lock:
+                view = self._view
+                if view is None:
+                    self._flush_pending()
+                    n, dead = self._n, None
+                    if self._n_dead:
+                        dead = self._dead[:n]
+                        self._dead_shared = True
+                    avg = self._total_len / self._live if self._live else 0.0
+                    view = ReadView(
+                        base=self._base.columns,
+                        delta=dict(self._delta),
+                        lengths=self._lengths[:n],
+                        dead=dead,
+                        n_docs=self._live,
+                        avg_doc_len=avg,
+                    )
+                    self._view = view
+        return view
 
-    @property
-    def n_terms(self) -> int:
-        return len(self._doc_freq)
-
-    @property
-    def avg_doc_len(self) -> float:
-        return self._total_len / self._live if self._live else 0.0
-
-    def doc_freq(self, term: str) -> int:
-        return self._doc_freq.get(term, 0)
-
-    def doc_length(self, doc_id: int) -> int:
-        shard = doc_id % self._n_shards
-        delta = self._delta_lengths[shard]
-        if doc_id in delta:
-            return delta[doc_id]
-        return self._base.shards[shard].doc_lengths[doc_id]
-
-    def postings(self, term: str) -> tuple[Posting, ...]:
-        """Live ``(doc_id, tf)`` postings, ids ascending, tombstones cut."""
-        tombstones = self._tombstones
-        merged = [
-            posting
-            for posting in self._base.postings(term)
-            if posting[0] not in tombstones
-        ]
-        for shard in self._delta_postings:
-            merged.extend(
-                posting
-                for posting in shard.get(term, ())
-                if posting[0] not in tombstones
-            )
-        merged.sort()
-        return tuple(merged)
+    def is_live(self, doc_id: int) -> bool:
+        """True for an allocated, not tombstoned id."""
+        n = self._n  # read before the buffer: an add grows it first
+        return 0 <= doc_id < n and not self._dead[doc_id]
 
     def doc_text(self, doc_id: int) -> str:
         """The paragraph at ``doc_id``; ``""`` for tombstoned slots."""
-        if doc_id in self._tombstones:
+        if not self.is_live(doc_id):
             return ""
         if doc_id in self._extra_docs:
             return self._extra_docs[doc_id]
@@ -184,21 +180,23 @@ class MutableInvertedIndex:
     @property
     def docs(self) -> tuple[str, ...]:
         """The full id space, ``""`` at tombstoned (and gap) slots."""
-        return tuple(
-            self.doc_text(doc_id) for doc_id in range(self._next_doc_id)
-        )
+        return self.compacted().docs
 
     @property
     def tombstones(self) -> frozenset[int]:
-        return frozenset(self._tombstones)
+        return frozenset(np.flatnonzero(self._dead[: self._n]).tolist())
+
+    @property
+    def n_tombstones(self) -> int:
+        return self._n_dead
 
     @property
     def next_doc_id(self) -> int:
-        return self._next_doc_id
+        return self._n
 
     @property
     def n_shards(self) -> int:
-        return self._n_shards
+        return self._base.n_shards
 
     @property
     def delta_docs(self) -> int:
@@ -208,58 +206,6 @@ class MutableInvertedIndex:
     @property
     def metadata(self) -> dict:
         return self._base.metadata
-
-    @property
-    def shards(self) -> tuple[IndexShard, ...]:
-        """The live overlay materialized as canonical immutable shards.
-
-        Lazily built and cached until the next mutation; this is the
-        compaction input and the pipeline-snapshot payload, so both
-        share one definition of "the live corpus".  Searches never read
-        it — they go through the overlay's scorer surface above.
-        """
-        cached = self._shards_cache
-        if cached is None:
-            with self._lock:
-                cached = self._shards_cache
-                if cached is None:
-                    cached = tuple(
-                        self._materialize_shard(shard_id)
-                        for shard_id in range(self._n_shards)
-                    )
-                    self._shards_cache = cached
-        return cached
-
-    def _materialize_shard(self, shard_id: int) -> IndexShard:
-        tombstones = self._tombstones
-        base = self._base.shards[shard_id]
-        doc_lengths = {
-            doc_id: length
-            for doc_id, length in base.doc_lengths.items()
-            if doc_id not in tombstones
-        }
-        doc_lengths.update(
-            (doc_id, length)
-            for doc_id, length in self._delta_lengths[shard_id].items()
-            if doc_id not in tombstones
-        )
-        merged: dict[str, list[Posting]] = {}
-        for term, postings in base.postings.items():
-            live = [p for p in postings if p[0] not in tombstones]
-            if live:
-                merged[term] = live
-        for term, postings in self._delta_postings[shard_id].items():
-            live = [p for p in postings if p[0] not in tombstones]
-            if live:
-                merged.setdefault(term, []).extend(live)
-        postings_out = {
-            term: tuple(sorted(merged[term])) for term in sorted(merged)
-        }
-        return IndexShard(
-            shard_id=shard_id,
-            doc_lengths=dict(sorted(doc_lengths.items())),
-            postings=postings_out,
-        )
 
     # ------------------------------------------------------------ mutation
     def apply_add(self, doc_id: int, text: str) -> None:
@@ -271,35 +217,49 @@ class MutableInvertedIndex:
         gaps — they were never acknowledged, so nothing may surface them.
         """
         with self._lock:
-            if doc_id < self._next_doc_id:
+            next_id = self.next_doc_id
+            if doc_id < next_id:
                 raise ValueError(
                     f"doc id {doc_id} already allocated "
-                    f"(next is {self._next_doc_id}); ids are append-only"
+                    f"(next is {next_id}); ids are append-only"
                 )
-            for gap in range(self._next_doc_id, doc_id):
-                self._tombstones.add(gap)
-            shard_id = doc_id % self._n_shards
             counts = Counter(word_tokens(text))
             length = sum(counts.values())
-            # Publication order for lock-free readers: text and length
-            # first, statistics next, postings last — the doc is only
-            # *findable* once everything else about it is in place.
+            # Every write lands past the published [:n] slices.
+            if doc_id >= len(self._lengths):
+                self._lengths = _room(self._lengths, doc_id + 1, -1)
+                self._dead = _room(self._dead, doc_id + 1, True)
+            self._lengths[doc_id] = length
+            self._dead[doc_id] = False
             self._extra_docs[doc_id] = text
-            self._delta_lengths[shard_id][doc_id] = length
+            self._n_dead += doc_id - next_id
             self._total_len += length
             self._live += 1
-            postings = self._delta_postings[shard_id]
-            for term in sorted(counts):
-                self._doc_freq[term] = self._doc_freq.get(term, 0) + 1
-            for term in sorted(counts):
-                postings.setdefault(term, []).append((doc_id, counts[term]))
-            self._next_doc_id = doc_id + 1
-            self._shards_cache = None
+            self._n = doc_id + 1
+            for term, tf in counts.items():
+                ids, tfs = self._pending.setdefault(term, ([], []))
+                ids.append(doc_id)
+                tfs.append(tf)
+            self._view = None
+
+    def _flush_pending(self) -> None:
+        """Append pending postings to the delta buffers (under the lock)."""
+        for term, (new_ids, new_tfs) in self._pending.items():
+            ids, tfs = self._delta_buf.get(term, _EMPTY)
+            size = len(self._delta.get(term, _EMPTY)[0])
+            end = size + len(new_ids)
+            if end > len(ids):
+                ids, tfs = _room(ids, end, 0), _room(tfs, end, 0)
+                self._delta_buf[term] = (ids, tfs)
+            ids[size:end] = new_ids
+            tfs[size:end] = new_tfs
+            self._delta[term] = (ids[:end], tfs[:end])
+        self._pending.clear()
 
     def add(self, text: str) -> int:
         """Insert at the next free id; returns the assigned ``doc_id``."""
         with self._lock:
-            doc_id = self._next_doc_id
+            doc_id = self.next_doc_id
             self.apply_add(doc_id, text)
             return doc_id
 
@@ -310,41 +270,26 @@ class MutableInvertedIndex:
         dead — the service maps that to ``404``.
         """
         with self._lock:
-            if (
-                doc_id < 0
-                or doc_id >= self._next_doc_id
-                or doc_id in self._tombstones
-            ):
+            if not self.is_live(doc_id):
                 raise KeyError(f"no live document {doc_id}")
-            text = self.doc_text(doc_id)
-            # Hide first, then retire the statistics: a concurrent
-            # reader either still sees the fully live doc or none of it.
-            self._tombstones.add(doc_id)
-            self._subtract(doc_id, text)
+            if self._dead_shared:
+                self._dead = self._dead.copy()
+                self._dead_shared = False
+            self._dead[doc_id] = True
+            self._n_dead += 1
+            self._total_len -= max(int(self._lengths[doc_id]), 0)
+            self._live -= 1
             self._extra_docs.pop(doc_id, None)
-            self._shards_cache = None
+            self._view = None
 
-    def _subtract(self, doc_id: int, text: str) -> None:
-        counts = Counter(word_tokens(text))
-        self._total_len -= sum(counts.values())
-        self._live -= 1
-        for term in counts:
-            remaining = self._doc_freq.get(term, 0) - 1
-            if remaining > 0:
-                self._doc_freq[term] = remaining
-            else:
-                self._doc_freq.pop(term, None)
-
-    def rebase(
-        self, base: InvertedIndex, tombstones: Iterable[int] = ()
-    ) -> None:
+    def rebase(self, base: InvertedIndex, tombstones: Iterable[int] = ()) -> None:
         """Swap in a new base in place, emptying the delta.
 
         Compaction calls this after the segment swap so every holder of
-        this index (retriever, ingest manager, service) sees the folded state
-        without re-wiring references.  Object identity — and the write
-        lock — are preserved; the internal state is replaced wholesale
-        so lock-free readers see either the old overlay or the new one.
+        this index (retriever, ingest manager, service) sees the folded
+        state without re-wiring references.  Object identity — and the
+        write lock — are preserved; searches holding the old view finish
+        on it, the next one builds a view of the new base.
         """
         with self._lock:
             fresh = MutableInvertedIndex(base, tombstones=tombstones)
@@ -357,24 +302,36 @@ class MutableInvertedIndex:
     def compacted(self) -> InvertedIndex:
         """The live overlay folded into one immutable index.
 
-        Tombstoned slots keep their position in ``docs`` (as ``""``) but
-        contribute no postings and no lengths — the returned index plus
-        the tombstone id list is exactly a ``gced-index`` version-2
-        segment.  Note plain :class:`InvertedIndex` counts the
-        placeholder slots in ``n_docs``; serving always re-wraps the
-        segment in :class:`MutableInvertedIndex`, which restores
-        live-only statistics.
+        Dead slots keep their position (``""``, length ``-1``, no postings),
+        so the result plus :attr:`tombstones` is a ``gced-index`` v2 segment;
+        serving re-wraps it in :class:`MutableInvertedIndex` for live stats.
         """
-        return InvertedIndex(
-            shards=self.shards,
-            docs=self.docs,
-            metadata=dict(self._base.metadata),
-        )
+        return self._fold()[0]
 
-    def describe(self) -> str:
-        return (
-            f"{self.n_docs} live docs ({len(self._tombstones)} tombstoned, "
-            f"{self.delta_docs} in delta), {self.n_terms} terms, "
-            f"{self._n_shards} shards, "
-            f"avg doc length {self.avg_doc_len:.1f} words"
+    def _fold(self) -> tuple[InvertedIndex, list[int]]:
+        """The folded index and its tombstone ids; locked only to capture."""
+        with self._lock:
+            base, view = self._base, self.read_view()
+            docs = list(base.docs) + [""] * (self._n - len(base.docs))
+            for doc_id, text in self._extra_docs.items():
+                docs[doc_id] = text
+        columns = {}
+        for term in sorted(view.base.keys() | view.delta.keys()):
+            ids, tfs = view.live_column(term)
+            if len(ids):
+                columns[term] = (ids, tfs)
+        lengths = view.lengths.copy()
+        tombstones: list[int] = []
+        if view.dead is not None:
+            lengths[view.dead] = -1
+            tombstones = np.flatnonzero(view.dead).tolist()
+            for doc_id in tombstones:
+                docs[doc_id] = ""
+        folded = InvertedIndex(
+            columns=columns,
+            lengths=lengths,
+            docs=tuple(docs),
+            n_shards=base.n_shards,
+            metadata=dict(base.metadata),
         )
+        return folded, tombstones

@@ -2,7 +2,7 @@
 
 :class:`CorpusRetriever` is what the rest of the system talks to — the
 ``retrieve`` pipeline stage, the open-context distiller, the ``/ask``
-endpoint, and the CLI all hold one of these.  It binds a sharded
+endpoint, and the CLI all hold one of these.  It binds a columnar
 :class:`~repro.retrieval.index.InvertedIndex` to a ranking scorer and
 returns :class:`RetrievedParagraph` hits carrying everything downstream
 ranking needs: the paragraph text, its corpus id, the retrieval score,
@@ -23,7 +23,8 @@ from repro.obs.logs import get_logger
 from repro.obs.trace import span as obs_span
 from repro.retrieval.bm25 import BM25Scorer, RankingScorer
 from repro.retrieval.index import InvertedIndex
-from repro.retrieval.store import load_index, save_index
+from repro.retrieval.mutable import MutableInvertedIndex
+from repro.retrieval.store import load_segment, save_index
 
 __all__ = [
     "CorpusRetriever",
@@ -92,14 +93,6 @@ class CorpusRetriever:
             reset_after_s=breaker_reset_s,
         )
 
-    @property
-    def n_shards(self) -> int:
-        """Shard count without materializing a mutable index's overlay."""
-        index = self.index
-        if hasattr(index, "n_shards"):
-            return index.n_shards
-        return len(index.shards)
-
     # ------------------------------------------------------------ building
     @classmethod
     def build(
@@ -126,8 +119,12 @@ class CorpusRetriever:
     def load(
         cls, path: str | pathlib.Path, scorer: RankingScorer | None = None
     ) -> "CorpusRetriever":
-        """Load a retriever from a persisted index file."""
-        return cls(load_index(path), scorer=scorer)
+        """Load an index or segment; a segment's dead slots never count or rank."""
+        segment = load_segment(path)
+        index = segment.index
+        if segment.tombstones:
+            index = MutableInvertedIndex(index, segment.tombstones)
+        return cls(index, scorer=scorer)
 
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
         """Persist the underlying index (scorers are config, not state)."""
@@ -199,5 +196,5 @@ class CorpusRetriever:
 
     @property
     def corpus(self) -> tuple[str, ...]:
-        """The raw indexed paragraphs (doc_id order)."""
-        return self.index.docs
+        """The live, non-empty paragraphs (positions are not doc ids)."""
+        return tuple(text for text in self.index.docs if text)

@@ -1,6 +1,6 @@
 """Term-weighting utilities shared across the retrieval and QA layers.
 
-Every corpus-statistics consumer in the repo — the sharded BM25/TF-IDF
+Every corpus-statistics consumer in the repo — the vectorized BM25/TF-IDF
 retrievers in this package and the span-scoring :class:`repro.qa.tfidf.TfidfQA`
 — weighs terms by some flavour of inverse document frequency.  Keeping the
 formulas here, as pure functions of ``(n_docs, doc_freq)``, guarantees the
@@ -8,7 +8,7 @@ layers agree on what "rare" means and keeps each scorer's module about
 *scoring*, not statistics.
 
 All functions are deterministic and depend only on their arguments, so
-weights computed in a process-pool shard builder are bit-identical to the
+weights computed in a process-pool worker are bit-identical to the
 ones computed inline.
 """
 
@@ -73,12 +73,11 @@ def bm25_tf(
 ) -> float:
     """BM25's saturated, length-normalized term-frequency component.
 
-    ``tf·(k1 + 1) / (tf + k1·(1 - b + b·dl/avgdl))``: repeated mentions
-    saturate (k1) and long documents are penalized toward the corpus
-    average length (b).
+    ``tf·(k1 + 1) / (tf + k1·(1 - b + b·dl/avgdl))`` for ``tf ≥ 1``:
+    repeated mentions saturate (k1) and long documents are penalized
+    toward the corpus average length (b).  On numpy arrays the same
+    ``+ − × ÷`` sequence runs elementwise, rounding as the scalar call does.
     """
-    if tf <= 0:
-        return 0.0
     norm = 1.0 - b + b * (doc_len / avg_doc_len if avg_doc_len > 0 else 1.0)
     return tf * (k1 + 1.0) / (tf + k1 * norm)
 

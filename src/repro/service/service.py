@@ -740,7 +740,7 @@ class DistillService:
                     {
                         "docs": self.retriever.index.n_docs,
                         "terms": self.retriever.index.n_terms,
-                        "shards": self.retriever.n_shards,
+                        "shards": self.retriever.index.n_shards,
                         "scorer": self.retriever.scorer.name,
                         "top_k": self.config.top_k,
                     }

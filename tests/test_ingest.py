@@ -38,6 +38,7 @@ from repro.retrieval import (
     InvertedIndex,
     MutableInvertedIndex,
     Segment,
+    TfidfScorer,
     WalRecord,
     WriteAheadLog,
     load_index,
@@ -253,6 +254,28 @@ class TestSegmentStore:
         # And the v1 loader still reads v2 envelopes (index only).
         v2_path = save_segment(Segment(index=index), tmp_path / "seg.json")
         assert load_index(v2_path).to_dict() == index.to_dict()
+
+    def test_reloaded_segment_ranks_like_the_live_index(self, tmp_path):
+        corpus = SEED + ["the houston battle payload was fought in texas"]
+        with IngestManager.open(tmp_path, base_corpus=corpus) as manager:
+            manager.add_documents(["payload record of the battle of texas"])
+            manager.delete_document(0)
+            manager.delete_document(2)
+            manager.compact()
+            live = manager.index
+            reloaded = CorpusRetriever.load(tmp_path / "segment.json")
+            assert reloaded.index.n_docs == live.n_docs == 4
+            assert reloaded.index.avg_doc_len == live.avg_doc_len
+            for scorer in (BM25Scorer(), TfidfScorer()):
+                for query in QUERIES:
+                    assert scorer.top_k(reloaded.index, query, 3) == (
+                        scorer.top_k(live, query, 3)
+                    )
+            # The QA training corpus holds the live paragraphs only.
+            assert reloaded.corpus == tuple(
+                text for doc_id, text in enumerate(live.docs) if live.is_live(doc_id)
+            )
+            assert "" not in reloaded.corpus
 
     def test_v2_bytes_stable_across_save_load_save(self, tmp_path):
         index = InvertedIndex.build(SEED, n_shards=2)

@@ -1,8 +1,8 @@
-"""Sharded retrieval subsystem: index, scorers, store, stage, open-context.
+"""Columnar retrieval subsystem: index, scorers, store, stage, open-context.
 
 The load-bearing invariants, each pinned here:
 
-* shard builds are byte-identical across serial/thread/process executors;
+* index builds are byte-identical across serial/thread/process executors;
 * save → load is an identity (bytes and retrieval results);
 * top-k ranking is deterministic, ties broken by ascending doc id;
 * the QA layer's TF-IDF and the retrieval layer share one IDF formula;
@@ -68,9 +68,17 @@ class TestInvertedIndex:
         assert index.doc_freq("zeppelin") == 0
 
     def test_shard_layout_is_round_robin(self, index):
-        for shard in index.shards:
-            for doc_id in shard.doc_lengths:
-                assert doc_id % len(index.shards) == shard.shard_id
+        # The shard layout lives on only in the persisted v1/v2 form.
+        shards = index.to_dict()["shards"]
+        assert len(shards) == index.n_shards
+        for shard in shards:
+            for doc_id in shard["doc_lengths"]:
+                assert int(doc_id) % index.n_shards == shard["shard_id"]
+            for postings in shard["postings"].values():
+                assert all(
+                    doc_id % index.n_shards == shard["shard_id"]
+                    for doc_id, _tf in postings
+                )
 
     def test_rejects_empty_corpus_and_bad_shards(self):
         with pytest.raises(ValueError, match="empty corpus"):
@@ -80,7 +88,7 @@ class TestInvertedIndex:
 
     def test_more_shards_than_docs_clamps(self):
         small = InvertedIndex.build(DOCS[:2], n_shards=16)
-        assert len(small.shards) == 2
+        assert small.n_shards == 2
 
 
 class TestBuildEquivalence:
