@@ -1,12 +1,11 @@
 """Batch distillation throughput — examples/sec across executor settings.
 
 Tracks the scaling of :class:`repro.core.batch.BatchDistiller` on the
-staged execution engine: serial vs thread pool vs process pool, at the
-worker counts a deployment would use.  Speedup is hardware-dependent (the
-pipeline is pure-Python CPU work, so thread pools are GIL-bound and
-process pools need multiple cores to win); the point of the benchmark is
-that the trajectory is *measured*, run over run, in
-``benchmarks/results/batch_throughput.txt``.
+staged execution engine: serial vs a 2-worker process pool.  Speedup is
+hardware-dependent (the pipeline is pure-Python CPU work, so the pool
+needs multiple cores to win, and small samples are dominated by its
+dispatch overhead); the point of the benchmark is that the trajectory is
+*measured*, run over run, in ``benchmarks/results/batch_throughput.txt``.
 """
 
 from __future__ import annotations
@@ -18,24 +17,24 @@ from benchmarks.common import emit, emit_json, get_context, sample_size
 N_EXAMPLES = sample_size("BENCH_N_EXAMPLES", 24)
 
 
-def _fresh_distiller(ctx, workers: int, backend: str):
+def _fresh_distiller(ctx, workers: int):
     from repro.core import BatchDistiller
     from repro.core.pipeline import GCED
 
     # A fresh pipeline per setting: no warm caches carried across runs.
     gced = GCED(qa_model=ctx.artifacts.reader, artifacts=ctx.artifacts)
-    return BatchDistiller(gced, workers=workers, backend=backend)
+    return BatchDistiller(gced, workers=workers)
 
 
-def _measure(ctx, examples, workers: int, backend: str) -> dict:
-    with _fresh_distiller(ctx, workers, backend) as batch:
+def _measure(ctx, examples, workers: int) -> dict:
+    with _fresh_distiller(ctx, workers) as batch:
         started = time.perf_counter()
         results = batch.distill_examples(examples)
         elapsed = time.perf_counter() - started
     assert len(results) == len(examples)
     return {
         "workers": workers,
-        "backend": backend if workers > 1 else "serial",
+        "backend": "process" if workers > 1 else "serial",
         "examples": len(examples),
         "seconds": round(elapsed, 3),
         "examples/sec": round(len(examples) / elapsed, 2),
@@ -51,12 +50,11 @@ def test_batch_throughput_scaling():
     # results memo discarded) warms the *process-wide* model caches —
     # question profiles, stems — so the serial row is not the only one
     # paying their misses and the speedup comparison is fair.
-    _measure(ctx, examples, workers=1, backend="thread")
+    _measure(ctx, examples, workers=1)
 
     rows = [
-        _measure(ctx, examples, workers=1, backend="thread"),
-        _measure(ctx, examples, workers=4, backend="thread"),
-        _measure(ctx, examples, workers=4, backend="process"),
+        _measure(ctx, examples, workers=1),
+        _measure(ctx, examples, workers=2),
     ]
 
     # All settings must produce identical evidences (the executor contract).
@@ -70,8 +68,8 @@ def test_batch_throughput_scaling():
             f"{row['seconds']:>7.3f}s  {row['examples/sec']:>7.2f} ex/s"
         )
     serial = rows[0]["examples/sec"]
-    best = max(row["examples/sec"] for row in rows[1:])
-    lines.append(f"  best parallel speedup: {best / serial:.2f}x over serial")
+    best = rows[1]["examples/sec"]
+    lines.append(f"  process:2 speedup: {best / serial:.2f}x over serial")
     emit("batch_throughput", "\n".join(lines))
     emit_json(
         "batch_throughput",
@@ -81,9 +79,8 @@ def test_batch_throughput_scaling():
             "metrics": {
                 "batch.serial_ex_per_sec": serial,
                 "batch.best_parallel_ex_per_sec": best,
-                # Hardware-relative: ≥ 1.0 means the executor's overhead
-                # is paid for even on one core; multi-core runners see the
-                # process backend scale further.
+                # Hardware-relative: the process pool needs >= 2 cores
+                # and enough work per call to beat serial.
                 "batch.parallel_speedup": round(best / serial, 3),
             },
         },

@@ -42,8 +42,8 @@ from repro.retrieval import (
     BM25Scorer,
     IngestManager,
     MutableInvertedIndex,
+    WriteAheadLog,
     load_segment,
-    replay_directory,
 )
 
 N_DOCS = sample_size("BENCH_INGEST_DOCS", 240)
@@ -105,7 +105,7 @@ def _throughput_leg(directory: pathlib.Path) -> float:
 def _offline_rebuild(directory: pathlib.Path) -> MutableInvertedIndex:
     segment = load_segment(directory / "segment.json")
     reference = MutableInvertedIndex(segment.index, segment.tombstones)
-    records, _torn = replay_directory(directory / "wal")
+    records, _torn = WriteAheadLog.replay(directory / "wal.log")
     for record in records:
         if record.seq <= segment.applied_seq:
             continue

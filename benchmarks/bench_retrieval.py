@@ -3,8 +3,8 @@
 Three measurements, all feeding the CI perf gate:
 
 * **index build** (docs/sec): columnar inverted-index construction,
-  serial vs thread-pool, with the byte-identity contract asserted on
-  every run;
+  serial vs a 2-worker process pool, with the byte-identity contract
+  asserted on every run;
 * **query** (queries/sec + p50/p95 ms): BM25 top-3 over the seeded
   20,000-paragraph ``/ask`` corpus of ``perfbench.inputs.ask_corpus``:
   the gold paragraph of every query, hidden among filler paragraphs that
@@ -38,14 +38,12 @@ MIN_RECALL = 0.8
 SEED = 0
 
 
-def _measure_build(docs: list[str], workers: int, backend: str):
+def _measure_build(docs: list[str], workers: int):
     from repro.retrieval import CorpusRetriever, index_to_json
 
     started = time.perf_counter()
     for _ in range(BUILD_REPEATS):
-        retriever = CorpusRetriever.build(
-            docs, n_shards=4, workers=workers, backend=backend
-        )
+        retriever = CorpusRetriever.build(docs, n_shards=4, workers=workers)
     elapsed = time.perf_counter() - started
     docs_per_sec = len(docs) * BUILD_REPEATS / elapsed
     return retriever, docs_per_sec, index_to_json(retriever.index)
@@ -76,10 +74,8 @@ def test_retrieval_throughput():
     docs = list(ctx.dataset.contexts())
     examples = ctx.dataset.answerable_dev()
 
-    retriever, serial_build, serial_bytes = _measure_build(docs, 1, "thread")
-    _parallel, parallel_build, parallel_bytes = _measure_build(
-        docs, 4, "thread"
-    )
+    retriever, serial_build, serial_bytes = _measure_build(docs, 1)
+    _parallel, parallel_build, parallel_bytes = _measure_build(docs, 2)
     assert parallel_bytes == serial_bytes, "parallel index build diverged"
 
     asks = ask_corpus(SEED, N_QUERIES, size=N_CORPUS)
@@ -108,7 +104,7 @@ def test_retrieval_throughput():
         "retrieval throughput",
         f"  index build  serial   {serial_build:>9.1f} docs/s "
         f"({len(docs)} squad11 docs x {BUILD_REPEATS} builds)",
-        f"  index build  thread:4 {parallel_build:>9.1f} docs/s (byte-identical)",
+        f"  index build  process:2 {parallel_build:>8.1f} docs/s (byte-identical)",
         f"  query top-{TOP_K}  {queries_per_sec:>9.1f} q/s   "
         f"(median of {QUERY_ROUNDS} rounds, IQR "
         f"{round_quartiles[0]:.1f}-{round_quartiles[2]:.1f})  "

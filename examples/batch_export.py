@@ -23,9 +23,9 @@ def main() -> None:
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
 
     examples = dataset.answerable_dev()[:12]
-    # Fan distillation out over the engine's thread-pool executor; results
-    # come back in input order regardless of worker count.
-    with BatchDistiller(gced, workers=4) as batch:
+    # Fan distillation out over the engine's process pool; results come
+    # back in input order regardless of worker count.
+    with BatchDistiller(gced, workers=2) as batch:
         results = batch.distill_examples(examples)
         stats = batch.stats()
     print(stats.summary())

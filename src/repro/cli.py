@@ -98,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1, help="executor pool size (1 = serial)"
     )
     p_batch.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
-    )
-    p_batch.add_argument(
         "--profile",
         action="store_true",
         help="print per-stage timings and cache hit rates",
@@ -144,12 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="executor pool size for shard construction (1 = serial)",
     )
-    p_index.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
-    )
 
     p_ask = sub.add_parser(
         "ask",
@@ -171,12 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ask.add_argument(
         "--workers", type=int, default=1, help="executor pool size (1 = serial)"
-    )
-    p_ask.add_argument(
-        "--backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="parallel executor backend",
     )
     p_ask.add_argument(
         "--json",
@@ -405,9 +387,7 @@ def _run_batch(args: argparse.Namespace) -> int:
     artifacts = QATrainer(seed=args.seed).train(dataset.contexts())
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     examples = dataset.answerable_dev()[: args.n_examples]
-    with BatchDistiller(
-        gced, workers=args.workers, backend=args.backend
-    ) as batch:
+    with BatchDistiller(gced, workers=args.workers) as batch:
         results = batch.distill_examples(examples)
         stats = batch.stats()
         print(stats.summary())
@@ -457,7 +437,6 @@ def _run_index(args: argparse.Namespace) -> int:
         docs,
         n_shards=args.shards,
         workers=args.workers,
-        backend=args.backend,
         metadata=metadata,
     )
     path = retriever.save(args.out)
@@ -485,7 +464,7 @@ def _run_ask(args: argparse.Namespace) -> int:
     gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
     trace_handle = None
     with OpenContextDistiller(
-        BatchDistiller(gced, workers=args.workers, backend=args.backend),
+        BatchDistiller(gced, workers=args.workers),
         retriever,
         top_k=args.k,
     ) as distiller:

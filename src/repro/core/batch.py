@@ -12,7 +12,7 @@ facts about QA workloads:
 
 Scheduling is delegated to an :mod:`engine executor
 <repro.engine.executor>`: ``workers=1`` runs inline, ``workers>1`` fans
-context-grouped chunks out to a thread or process pool while preserving
+context-grouped chunks out to a process pool while preserving
 input order and memoization.  Per-stage wall-clock and shared-cache hit
 rates aggregate into a :class:`~repro.engine.instrumentation.PipelineProfile`
 exposed through :meth:`BatchDistiller.stats` / :meth:`profile`.
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.pipeline import GCED, DistillationResult
-from repro.engine.executor import Executor, WarmupReport, build_executor
+from repro.engine.executor import WarmupReport, build_executor
 from repro.engine.instrumentation import CacheStats, PipelineProfile
 from repro.faults import CircuitBreaker, fault_point, install_from_env
 from repro.obs import trace as obs_trace
@@ -226,14 +226,12 @@ class BatchDistiller:
     Args:
         gced: the configured pipeline.
         cache_size: memoized finished results (LRU).
-        workers: parallelism for :meth:`distill_many` (1 = inline).
-        backend: ``"thread"`` shares the pipeline and its caches across a
-            thread pool; ``"process"`` ships a pipeline copy to each
-            worker process for true multi-core scaling.
-        executor: a pre-built executor to use instead of ``workers`` /
-            ``backend`` (must run callables in-process, i.e. thread-like).
-        snapshot: controls the pipeline-snapshot handoff on the process
-            backend.  ``None`` (default) builds one from ``gced``'s warm
+        workers: parallelism for :meth:`distill_many`: 1 runs inline,
+            more runs a process pool with a pipeline copy in each worker
+            (0 = one per CPU).
+        backend: ``"process"``, the only pool kind; other values raise.
+        snapshot: controls the pipeline-snapshot handoff to the process
+            pool.  ``None`` (default) builds one from ``gced``'s warm
             state (owned: unlinked on :meth:`close`); a
             :class:`~repro.engine.snapshot.PipelineSnapshot` is used
             as-is (caller keeps ownership; its fingerprint must match
@@ -252,72 +250,57 @@ class BatchDistiller:
         gced: GCED,
         cache_size: int = 4096,
         workers: int = 1,
-        backend: str = "thread",
-        executor: Executor | None = None,
+        backend: str = "process",
         snapshot=None,
         breaker_failures: int = 3,
         breaker_reset_s: float = 30.0,
     ) -> None:
+        if backend != "process":
+            raise ValueError(
+                f"backend={backend!r} is not supported: the thread backend "
+                "was removed; workers > 1 always runs a process pool"
+            )
         self.gced = gced
         self._snapshot = None
         self._owns_snapshot = False
-        if executor is None:
-            self.backend = backend
-            n_workers = workers if workers > 0 else (os.cpu_count() or 1)
-            pool_kwargs = {}
-            if backend == "process":
-                snap = None
-                if n_workers > 1 and snapshot is not False:
-                    if snapshot is None:
-                        snap = gced.build_snapshot()
-                        self._owns_snapshot = True
-                    else:
-                        snap = snapshot
-                        if snap.fingerprint != gced.config.fingerprint():
-                            raise ValueError(
-                                "stale pipeline snapshot: built under config "
-                                f"fingerprint {snap.fingerprint}, but this "
-                                "pipeline's config fingerprints as "
-                                f"{gced.config.fingerprint()}"
-                            )
-                if snap is not None:
-                    self._snapshot = snap
-                    from repro.engine.snapshot import dump_for_workers
+        n_workers = workers if workers > 0 else (os.cpu_count() or 1)
+        pool_kwargs = {}
+        if n_workers > 1 and snapshot is not False:
+            if snapshot is None:
+                snap = gced.build_snapshot()
+                self._owns_snapshot = True
+            else:
+                snap = snapshot
+                if snap.fingerprint != gced.config.fingerprint():
+                    raise ValueError(
+                        "stale pipeline snapshot: built under config "
+                        f"fingerprint {snap.fingerprint}, but this "
+                        "pipeline's config fingerprints as "
+                        f"{gced.config.fingerprint()}"
+                    )
+            self._snapshot = snap
+            from repro.engine.snapshot import dump_for_workers
 
-                    # Pre-pickled with warm state externalized: the bulky
-                    # tables travel once via the snapshot segment, not N
-                    # times through initializer payloads (and not at all
-                    # by accident under fork's initargs inheritance).
-                    payload = dump_for_workers(gced)
-                    pool_kwargs = {
-                        "initializer": _init_worker,
-                        "initargs": (payload, snap.handle),
-                    }
-                else:
-                    pool_kwargs = {
-                        "initializer": _init_worker,
-                        "initargs": (gced,),
-                    }
-            executor = build_executor(workers=workers, backend=backend, **pool_kwargs)
-        else:
-            if getattr(executor, "backend", "thread") == "process":
-                raise ValueError(
-                    "pre-built process executors lack the pipeline "
-                    "initializer; pass workers=/backend='process' instead"
-                )
-            self.backend = "thread"
-        self.executor = executor
+            # Pre-pickled with warm state externalized: the bulky tables
+            # travel once via the snapshot segment, not N times through
+            # initializer payloads (and not at all by accident under
+            # fork's initargs inheritance).
+            payload = dump_for_workers(gced)
+            pool_kwargs = {
+                "initializer": _init_worker,
+                "initargs": (payload, snap.handle),
+            }
+        elif n_workers > 1:
+            pool_kwargs = {"initializer": _init_worker, "initargs": (gced,)}
+        self.executor = build_executor(workers=n_workers, **pool_kwargs)
         self._worker_profile = PipelineProfile()
-        # Warm start: spawn pool workers (and run the process-backend
-        # pipeline initializer in each) now, so the first batch measures
-        # distillation, not worker startup.  Process pools probe each
-        # worker for its initializer facts (pid, snapshot-load ms).
-        probe = (
-            _worker_info
-            if self.backend == "process" and self.executor.workers > 1
-            else None
+        # Warm start: spawn pool workers (and run the pipeline initializer
+        # in each) now, so the first batch measures distillation, not
+        # worker startup.  The probe collects each worker's initializer
+        # facts (pid, snapshot-load ms).
+        self._warmup_report: WarmupReport = self.executor.warmup(
+            probe=_worker_info
         )
-        self._warmup_report: WarmupReport = self.executor.warmup(probe=probe)
         self._worker_profile.count(
             "pool_warmup_ms", round(self._warmup_report.seconds * 1000.0, 3)
         )
@@ -408,14 +391,13 @@ class BatchDistiller:
     def _execute(self, jobs: list[Triple]) -> list[DistillationResult]:
         """Run unique jobs on the executor, folding back worker profiles.
 
-        When the calling thread is being traced, the trace crosses the
-        pool boundary explicitly (context variables do not): thread
-        workers re-activate the caller's ``(trace, parent_id)``, process
-        workers open a joined trace and ship their span buffer back with
-        the result exactly like the profile delta.
+        Serial execution runs in the caller's own trace context.  On the
+        pool the trace crosses the process boundary explicitly: workers
+        open a joined trace and ship their span buffer back with the
+        result exactly like the profile delta.
         """
-        active = obs_trace.current()
-        if self.backend == "process" and self.executor.workers > 1:
+        if self.executor.workers > 1:
+            active = obs_trace.current()
             if self.pool_breaker.allow():
                 try:
                     results = self._execute_process(jobs, active)
@@ -433,10 +415,7 @@ class BatchDistiller:
                 else:
                     self.pool_breaker.record_success()
                     return results
-            return self._execute_degraded(jobs, active)
-        if active is not None:
-            fn = functools.partial(self._distill_in_context, *active)
-            return self.executor.map(fn, jobs, key=_by_context)
+            return self._execute_degraded(jobs)
         return self.executor.map(self._distill_uncached, jobs, key=_by_context)
 
     def _execute_process(
@@ -458,45 +437,29 @@ class BatchDistiller:
             self._worker_profile.merge(delta)
         return [result for result, _delta in pairs]
 
-    def _execute_degraded(
-        self, jobs: list[Triple], active
-    ) -> list[DistillationResult]:
+    def _execute_degraded(self, jobs: list[Triple]) -> list[DistillationResult]:
         """Serial in-parent fallback when the process pool is unusable.
 
         Same outputs as the pool path (the pipeline is deterministic per
-        triple), just slower.  If one job genuinely fails mid-batch, the
-        completed batch-mates are memoized *before* the error propagates,
-        so the scheduler's per-request retry serves them from the memo
-        and only the poisoned item surfaces an error.
+        triple), just slower, and traced in the caller's own context.
+        If one job genuinely fails mid-batch, the completed batch-mates
+        are memoized *before* the error propagates, so the scheduler's
+        per-request retry serves them from the memo and only the
+        poisoned item surfaces an error.
         """
         with self._stats_lock:
             self._degraded_batches += 1
         results: list[DistillationResult | None] = [None] * len(jobs)
         done: list[tuple[Triple, DistillationResult]] = []
-        token = obs_trace.activate(*active) if active is not None else None
-        try:
-            for i in sorted(range(len(jobs)), key=lambda i: jobs[i][2]):
-                try:
-                    results[i] = self.gced.distill(*jobs[i])
-                except Exception:
-                    for key, result in done:
-                        self._record(key, result)
-                    raise
-                done.append((jobs[i], results[i]))
-        finally:
-            if token is not None:
-                obs_trace.deactivate(token)
+        for i in sorted(range(len(jobs)), key=lambda i: jobs[i][2]):
+            try:
+                results[i] = self.gced.distill(*jobs[i])
+            except Exception:
+                for key, result in done:
+                    self._record(key, result)
+                raise
+            done.append((jobs[i], results[i]))
         return results  # type: ignore[return-value]
-
-    def _distill_in_context(
-        self, trace, parent_id: str | None, triple: Triple
-    ) -> DistillationResult:
-        """Distill with the submitter's trace re-activated (pool threads)."""
-        token = obs_trace.activate(trace, parent_id)
-        try:
-            return self.gced.distill(*triple)
-        finally:
-            obs_trace.deactivate(token)
 
     def _distill_uncached(self, triple: Triple) -> DistillationResult:
         return self.gced.distill(*triple)
@@ -537,24 +500,18 @@ class BatchDistiller:
         service): builds a new snapshot at ``generation + 1`` from the
         pipeline's *current* warm state, broadcasts an adopt task to the
         running workers — same pids, no respawn — and points future
-        respawns at the new handle.  Thread/serial backends (and
-        snapshot-less pools) share the coordinator's objects directly,
-        so there is nothing to refresh: returns ``None``.
+        respawns at the new handle.  Serial execution (and snapshot-less
+        pools) use the coordinator's objects directly, so there is
+        nothing to refresh: returns ``None``.
         """
         snap = self._snapshot
-        if (
-            snap is None
-            or self.backend != "process"
-            or self.executor.workers <= 1
-        ):
+        if snap is None:
             return None
         from repro.engine.snapshot import dump_for_workers
 
         fresh = self.gced.build_snapshot(generation=snap.generation + 1)
         payload = dump_for_workers(self.gced)
-        set_initargs = getattr(self.executor, "set_initargs", None)
-        if callable(set_initargs):
-            set_initargs((payload, fresh.handle))
+        self.executor.set_initargs((payload, fresh.handle))
         report = self.executor.warmup(
             probe=functools.partial(_adopt_handle, fresh.handle)
         )
@@ -634,10 +591,9 @@ class BatchDistiller:
     def profile(self) -> PipelineProfile:
         """Combined per-stage/per-cache profile of all work so far.
 
-        Thread and serial execution accumulate directly on the shared
-        pipeline; process workers ship profile deltas back with each
-        result.  The memo cache of finished results appears as
-        ``results``.
+        Serial execution accumulates directly on the pipeline; process
+        workers ship profile deltas back with each result.  The memo
+        cache of finished results appears as ``results``.
         """
         combined = PipelineProfile()
         combined.merge(self.gced.snapshot_caches())

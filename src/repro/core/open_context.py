@@ -197,7 +197,7 @@ class OpenContextDistiller:
 
         All candidate paragraphs are distilled as one
         :meth:`BatchDistiller.distill_many` batch, so the configured
-        executor (``workers``/``backend``) does the fan-out.
+        executor (``workers``) does the fan-out.
         """
         if k is None:
             k = self.top_k

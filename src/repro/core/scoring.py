@@ -263,9 +263,9 @@ class CandidateScoringEngine:
     hits are cross-call reuse events), and the trigram term cache.  All
     three stay warm across examples and calls: repeated distillations of
     the same paragraph for the same QA pair hit the same session and
-    therefore the same node-set entries.  Thread-safe for the thread
-    executor (both LRU caches are locked; session-internal memos hold
-    idempotent pure values) and picklable for the process executor.
+    therefore the same node-set entries.  Thread-safe (both LRU caches
+    are locked; session-internal memos hold idempotent pure values) and
+    picklable for the process executor.
     """
 
     def __init__(

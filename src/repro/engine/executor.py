@@ -1,8 +1,8 @@
 """Batch executors — who runs the pipeline over many items, and where.
 
 :class:`SerialExecutor` runs everything inline; :class:`ParallelExecutor`
-fans chunks out to a thread or process pool.  Both present the same
-``map`` contract:
+fans chunks out to a process pool.  Both present the same ``map``
+contract:
 
 * the returned list preserves input order, always;
 * an optional ``key`` groups similar items (e.g. same context paragraph)
@@ -19,11 +19,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
@@ -40,9 +36,6 @@ __all__ = [
     "WarmupReport",
     "build_executor",
 ]
-
-_BACKENDS = ("thread", "process")
-
 
 @dataclass(frozen=True)
 class WarmupReport:
@@ -120,13 +113,13 @@ class SerialExecutor(Executor):
 
 
 class ParallelExecutor(Executor):
-    """Thread- or process-pool executor with context-grouped chunking.
+    """Process-pool executor with context-grouped chunking.
+
+    Work runs in true parallelism with per-worker caches, so ``fn`` and
+    the items must be picklable.
 
     Args:
         workers: pool size (≥ 1; ``0`` means one per CPU).
-        backend: ``"thread"`` (shared memory, shared caches, GIL-bound) or
-            ``"process"`` (true parallelism, per-worker caches; work must
-            be picklable).
         chunks_per_worker: how many chunks to cut per worker — higher
             values balance skewed chunk costs, lower values maximize
             per-chunk cache locality.
@@ -141,23 +134,19 @@ class ParallelExecutor(Executor):
     def __init__(
         self,
         workers: int = 2,
-        backend: str = "thread",
         chunks_per_worker: int = 4,
         initializer: Callable | None = None,
         initargs: tuple = (),
     ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
         if workers < 0:
             raise ValueError("workers must be non-negative")
         if chunks_per_worker < 1:
             raise ValueError("chunks_per_worker must be at least 1")
         self.workers = workers or os.cpu_count() or 1
-        self.backend = backend
         self.chunks_per_worker = chunks_per_worker
         self._initializer = initializer
         self._initargs = initargs
-        self._pool: ThreadPoolExecutor | ProcessPoolExecutor | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._pool_lock = threading.Lock()
         self._closed = False
         self.last_warmup: WarmupReport | None = None
@@ -171,7 +160,7 @@ class ParallelExecutor(Executor):
     def _ensure_pool(self):
         # Double-checked under a lock: concurrent first maps (e.g. two
         # scheduler flushes racing) must not each create a pool, which
-        # would leak the loser's worker threads/processes.
+        # would leak the loser's worker processes.
         if self._pool is None:
             with self._pool_lock:
                 if self._closed:
@@ -184,12 +173,7 @@ class ParallelExecutor(Executor):
                         "mapping on a closed executor"
                     )
                 if self._pool is None:
-                    pool_cls = (
-                        ThreadPoolExecutor
-                        if self.backend == "thread"
-                        else ProcessPoolExecutor
-                    )
-                    self._pool = pool_cls(
+                    self._pool = ProcessPoolExecutor(
                         max_workers=self.workers,
                         initializer=self._initializer,
                         initargs=self._initargs,
@@ -242,7 +226,7 @@ class ParallelExecutor(Executor):
         items = list(items)
         if not items:
             return []
-        fault_point("executor.map", detail=f"{self.backend}:{len(items)}")
+        fault_point("executor.map", detail=f"process:{len(items)}")
         order = _locality_order(items, key)
         chunks = _chunk(order, self.workers * self.chunks_per_worker)
         results: list[Any] = [None] * len(items)
@@ -325,7 +309,6 @@ class ParallelExecutor(Executor):
             pool.shutdown(wait=True)
         _log.warning(
             "process pool broken; respawning workers",
-            backend=self.backend,
             workers=self.workers,
             pool_breaks=breaks,
         )
@@ -384,12 +367,10 @@ def _chunk(order: list[int], n_chunks: int) -> list[list[int]]:
     return chunks
 
 
-def build_executor(
-    workers: int = 1, backend: str = "thread", **kwargs
-) -> Executor:
-    """Executor for ``workers``: serial for 1, parallel otherwise (0 = per CPU)."""
+def build_executor(workers: int = 1, **kwargs) -> Executor:
+    """Serial for 1 worker, a process pool otherwise (0 = one per CPU)."""
     if workers == 0:
         workers = os.cpu_count() or 1
     if workers <= 1:
         return SerialExecutor()
-    return ParallelExecutor(workers=workers, backend=backend, **kwargs)
+    return ParallelExecutor(workers=workers, **kwargs)

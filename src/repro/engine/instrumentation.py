@@ -103,7 +103,7 @@ class PipelineProfile:
     caches: dict[str, CacheStats] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Accumulation must be safe under thread-pool execution; the lock
+        # Accumulation must be safe across serving threads; the lock
         # is excluded from pickling so profiles still travel to/from
         # worker processes.
         self._lock = threading.Lock()

@@ -52,12 +52,11 @@ class ExperimentContext:
         config: GCEDConfig | None = None,
         calibration_limit: int = 60,
         workers: int = 1,
-        backend: str = "thread",
     ) -> "ExperimentContext":
         """Construct the full experiment state for ``dataset_key``.
 
-        ``workers`` / ``backend`` configure the engine executor every
-        experiment's distillation fans out on (1 = serial).
+        ``workers`` sizes the engine executor every experiment's
+        distillation fans out on (1 = serial, more = a process pool).
         """
         dataset = load_dataset(dataset_key, seed=seed, n_train=n_train, n_dev=n_dev)
         artifacts = QATrainer(seed=seed).train(dataset.contexts())
@@ -90,7 +89,7 @@ class ExperimentContext:
             baselines=baselines,
             seed=seed,
             distiller=BatchDistiller(
-                gced, cache_size=memo_size, workers=workers, backend=backend
+                gced, cache_size=memo_size, workers=workers
             ),
         )
 

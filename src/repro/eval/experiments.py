@@ -157,9 +157,7 @@ def ablation_table(
             config=config,
         )
         with BatchDistiller(
-            gced,
-            workers=ctx.distiller.executor.workers,
-            backend=ctx.distiller.backend,
+            gced, workers=ctx.distiller.executor.workers
         ) as distiller:
             results = distiller.distill_examples(examples)
         records: list[RatingRecord] = []

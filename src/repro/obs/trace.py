@@ -21,9 +21,9 @@ no-op handle.  That is the whole disabled-path overhead, which
 **Cross-thread / cross-process propagation.**  Context variables do not
 cross pool boundaries on their own:
 
-* thread pools re-activate an explicit ``(trace, parent_id)`` pair via
-  :func:`activate` / :func:`deactivate` (see
-  ``BatchDistiller._execute``);
+* another thread (the serving scheduler's flusher) re-activates an
+  explicit ``(trace, parent_id)`` pair via :func:`activate` /
+  :func:`deactivate`;
 * process workers open their own :class:`TraceHandle` with the parent's
   ``trace_id`` and ``parent_id`` (spans are picklable), ship the
   finished span list back with the result, and the coordinator folds it

@@ -25,7 +25,7 @@ __all__ = ["AnswerPrediction", "QAModel", "QuestionProfile", "SpanScoringQA"]
 
 # Process-wide identity sequence for compiled-prep cache keys, and the
 # lock that makes lazily installed per-instance state single-assignment
-# under thread-pool execution.
+# across concurrent threads.
 _PREP_KEYS = itertools.count()
 _INSTALL_LOCK = threading.Lock()
 

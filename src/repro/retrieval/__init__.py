@@ -42,7 +42,7 @@ from repro.retrieval.store import (
     save_segment,
     segment_to_json,
 )
-from repro.retrieval.wal import WalRecord, WriteAheadLog, replay_directory
+from repro.retrieval.wal import WalRecord, WriteAheadLog
 from repro.retrieval.weighting import (
     bm25_idf,
     bm25_tf,
@@ -76,7 +76,6 @@ __all__ = [
     "log_tf",
     "load_segment",
     "make_scorer",
-    "replay_directory",
     "save_index",
     "save_segment",
     "segment_to_json",

@@ -8,8 +8,8 @@ array over the id space.  Scorers read them through a :class:`ReadView`.
 
 Construction fans out over the engine's executors: contiguous doc-id
 chunks are tokenized in parallel and concatenated in id order, so
-serial, thread-pool, and process-pool builds produce *byte-identical*
-indexes.  ``n_shards`` survives only as the layout of the persisted
+serial and process-pool builds produce *byte-identical* indexes.
+``n_shards`` survives only as the layout of the persisted
 ``gced-index`` v1/v2 JSON (:meth:`InvertedIndex.to_dict` files each
 posting under ``doc_id % n_shards``), so files and snapshot bytes are a
 pure function of the corpus and the shard count.
@@ -210,8 +210,8 @@ class InvertedIndex(_ViewStats):
         """Index ``docs``, fanning tokenization out on ``executor``.
 
         Each worker tokenizes one contiguous doc-id chunk; the chunks are
-        concatenated in id order, so the executor choice (serial/thread/
-        process) changes wall-clock, never bytes.
+        concatenated in id order, so the executor choice (serial or
+        process pool) changes wall-clock, never bytes.
         """
         docs = tuple(docs)
         if not docs:

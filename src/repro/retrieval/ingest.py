@@ -4,24 +4,29 @@
 write path together::
 
     ingest_dir/
-        segment.json          # gced-index/2: compacted base + tombstones
-        wal/shard-0000.log    # per-shard write-ahead logs (wal.py framing)
-        wal/shard-0001.log
-        ...
+        segment.json   # gced-index/2: compacted base + tombstones
+        wal.log        # the write-ahead log (wal.py framing)
 
 **Durability contract.**  A write is acknowledged only after its WAL
-record is fsynced (group commit per batch).  SIGKILL at any byte leaves
-the directory recoverable: :meth:`IngestManager.open` loads the last
-atomic segment, torn-tail-truncates each WAL, and replays every durable
-record with ``seq > applied_seq`` — so no acknowledged write is ever
-lost, unacknowledged tails vanish cleanly, and the recovered index is
-byte-identical (scores included) to replaying the same surviving op log
-into a fresh index.
+record is fsynced (one group commit per batch).  SIGKILL at any byte
+leaves the directory recoverable: :meth:`IngestManager.open` loads the
+last atomic segment, torn-tail-truncates the WAL, and replays every
+durable record with ``seq > applied_seq`` — so no acknowledged write is
+ever lost, unacknowledged tails vanish cleanly, and the recovered index
+is byte-identical (scores included) to replaying the same surviving op
+log into a fresh index.  A batch that fails *without* a crash (an
+append, the fsync, or the step before the in-memory apply raises) is
+truncated back out of the log before the error propagates, so its ids
+are free for the next write.
+
+One log means its intact prefix holds contiguous doc ids, so replay is
+strict: a record it cannot apply means the log is corrupt, and
+:meth:`open` raises naming that record's ``seq``.
 
 **Compaction.**  :meth:`compact` folds delta postings and tombstones
 into a fresh immutable segment and swaps it atomically (write-temp →
 fsync → rename → fsync-dir), stamps the WAL high-water mark into the
-segment (``applied_seq``), then truncates the WALs.  A crash *between*
+segment (``applied_seq``), then truncates the WAL.  A crash *between*
 the rename and the truncate is idempotent: replay skips records already
 folded into the segment.  Each compaction bumps ``generation``, and the
 ``on_compact`` hook lets the service refresh live pipeline snapshots.
@@ -49,14 +54,15 @@ from repro.retrieval.store import (
     load_segment,
     save_segment,
 )
-from repro.retrieval.wal import WalRecord, WriteAheadLog, replay_directory
+from repro.retrieval.wal import WalRecord, WriteAheadLog
 
 __all__ = ["IngestManager"]
 
 _log = get_logger("ingest")
 
 SEGMENT_FILE = "segment.json"
-WAL_DIR = "wal"
+WAL_FILE = "wal.log"
+LEGACY_WAL_GLOB = "wal/shard-*.log"
 
 
 class IngestManager:
@@ -94,7 +100,9 @@ class IngestManager:
         self.compact_every = int(compact_every)
         self.on_compact = on_compact
         self._lock = threading.RLock()
-        self._wals: dict[int, WriteAheadLog] = {}
+        self._wal = WriteAheadLog(self.directory / WAL_FILE)
+        # Why writes are refused until a reopen recovers from the log.
+        self._failed: str | None = None
         self._applied_seq = int(applied_seq)
         self._next_seq = int(applied_seq) + 1
         self._generation = int(generation)
@@ -122,13 +130,26 @@ class IngestManager:
         """Open (or bootstrap) an ingest directory and recover its state.
 
         Existing directory: load ``segment.json`` (either envelope
-        version), truncate torn WAL tails, replay durable records past
+        version), truncate a torn WAL tail, replay durable records past
         the segment's ``applied_seq``.  Fresh directory: build the base
         from ``seed_index`` or ``base_corpus`` and persist the initial
-        segment atomically before accepting writes.
+        segment atomically before accepting writes.  A directory still
+        holding records in per-shard logs (``wal/shard-*.log``, written
+        by earlier releases) is refused rather than half-recovered.
         """
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
+        legacy = [
+            path.name
+            for path in sorted(directory.glob(LEGACY_WAL_GLOB))
+            if path.stat().st_size
+        ]
+        if legacy:
+            raise ValueError(
+                f"{directory} holds per-shard WAL records ({', '.join(legacy)}) "
+                "from an earlier release; compact it with that release "
+                "before opening it with this one"
+            )
         segment_path = directory / SEGMENT_FILE
         if segment_path.exists():
             segment = load_segment(segment_path)
@@ -142,6 +163,7 @@ class IngestManager:
                 seed_index = InvertedIndex.build(base_corpus, n_shards=n_shards)
             segment = Segment(index=seed_index)
             save_segment(segment, segment_path)
+        records, torn = WriteAheadLog.replay(directory / WAL_FILE)
         index = MutableInvertedIndex(segment.index, segment.tombstones)
         manager = cls(
             directory,
@@ -151,12 +173,15 @@ class IngestManager:
             compact_every=compact_every,
             on_compact=on_compact,
         )
-        manager._recover()
+        try:
+            manager._recover(records, torn)
+        except BaseException:
+            manager.close()
+            raise
         return manager
 
-    def _recover(self) -> None:
-        """Torn-tail-truncate the WALs, then replay past ``applied_seq``."""
-        records, torn = replay_directory(self.directory / WAL_DIR)
+    def _recover(self, records: list[WalRecord], torn: int) -> None:
+        """Replay the log's intact prefix past ``applied_seq``, strictly."""
         self._torn_bytes = torn
         max_seq = self._applied_seq
         for record in records:
@@ -164,7 +189,14 @@ class IngestManager:
             if record.seq <= self._applied_seq:
                 self._replay_skipped += 1  # already folded into the segment
                 continue
-            self._apply(record, replay=True)
+            try:
+                self._apply(record)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(
+                    f"{self._wal.path} is corrupt: record seq {record.seq} "
+                    f"({record.op} doc {record.doc_id}) cannot be applied: "
+                    f"{exc}"
+                ) from exc
             self._replayed_records += 1
             self._applied_seq = record.seq
         self._next_seq = max_seq + 1
@@ -177,42 +209,24 @@ class IngestManager:
                 applied_seq=self._applied_seq,
             )
 
-    def _apply(self, record: WalRecord, replay: bool = False) -> None:
+    def _apply(self, record: WalRecord) -> None:
         if record.op == "add":
             self.index.apply_add(record.doc_id, record.text)
             self._docs_added += 1
         elif record.op == "delete":
-            try:
-                self.index.apply_delete(record.doc_id)
-                self._docs_deleted += 1
-            except KeyError:
-                if not replay:
-                    raise
-                # Already dead (e.g. the id became a gap tombstone after
-                # a torn batch, or the log was hand-trimmed).  Dead is
-                # the delete's goal state, so skipping is sound.
-                self._replay_skipped += 1
-        else:  # pragma: no cover - wal only emits add/delete
+            self.index.apply_delete(record.doc_id)
+            self._docs_deleted += 1
+        else:
             raise ValueError(f"unknown WAL op {record.op!r}")
         self._ops_since_compact += 1
 
     # ------------------------------------------------------------- writing
-    def _wal_for(self, doc_id: int) -> WriteAheadLog:
-        shard_id = doc_id % self.index.n_shards
-        wal = self._wals.get(shard_id)
-        if wal is None:
-            wal = WriteAheadLog(
-                self.directory / WAL_DIR / f"shard-{shard_id:04d}.log"
-            )
-            self._wals[shard_id] = wal
-        return wal
-
     def add_documents(self, texts: Sequence[str]) -> list[int]:
         """Durably append ``texts``; returns their assigned doc ids.
 
-        One group commit per call: every record is appended, the touched
-        shard logs are fsynced once, and only then are the documents
-        applied in memory and the ids acknowledged to the caller.
+        One group commit per call: every record is appended, the log is
+        fsynced once, and only then are the documents applied in memory
+        and the ids acknowledged to the caller.
         """
         texts = list(texts)
         if not texts:
@@ -222,26 +236,16 @@ class IngestManager:
                 raise ValueError("documents must be non-empty strings")
         with self._lock, obs_span("ingest.apply", docs=len(texts)):
             first_id = self.index.next_doc_id
-            records = []
-            touched: dict[int, WriteAheadLog] = {}
-            for offset, text in enumerate(texts):
-                doc_id = first_id + offset
-                record = WalRecord(
-                    seq=self._next_seq, op="add", doc_id=doc_id, text=text
+            records = [
+                WalRecord(
+                    seq=self._next_seq + offset,
+                    op="add",
+                    doc_id=first_id + offset,
+                    text=text,
                 )
-                self._next_seq += 1
-                wal = self._wal_for(doc_id)
-                wal.append(record)
-                touched[id(wal)] = wal
-                records.append(record)
-            for wal in touched.values():
-                wal.sync()  # the durability barrier: records now survive SIGKILL
-            fault_point("ingest.apply", detail=f"add:{records[0].seq}")
-            for record in records:
-                self._apply(record)
-                self._applied_seq = record.seq
-            self._acked_batches += 1
-            self._maybe_compact()
+                for offset, text in enumerate(texts)
+            ]
+            self._commit(records)
             return [record.doc_id for record in records]
 
     def delete_document(self, doc_id: int) -> None:
@@ -253,16 +257,47 @@ class IngestManager:
         with self._lock, obs_span("ingest.delete", doc_id=doc_id):
             if not self.index.is_live(doc_id):
                 raise KeyError(f"no live document {doc_id}")
-            record = WalRecord(seq=self._next_seq, op="delete", doc_id=doc_id)
-            self._next_seq += 1
-            wal = self._wal_for(doc_id)
-            wal.append(record)
-            wal.sync()
-            fault_point("ingest.apply", detail=f"delete:{record.seq}")
+            self._commit(
+                [WalRecord(seq=self._next_seq, op="delete", doc_id=doc_id)]
+            )
+
+    def _commit(self, records: list[WalRecord]) -> None:
+        """Group-commit ``records``: append, fsync once, apply in memory.
+
+        Until the in-memory apply starts, any failure truncates the
+        batch back out of the log, so the log never holds a record the
+        index lacks and the batch's seqs and ids are reused by the next
+        write.  If that truncate fails too, the manager refuses writes
+        until a reopen recovers from what the log holds.
+        """
+        self._check_writable()
+        first = records[0]
+        start = self._wal.nbytes
+        try:
+            for record in records:
+                self._wal.append(record)
+            self._wal.sync()  # the durability barrier: records now survive SIGKILL
+            fault_point("ingest.apply", detail=f"{first.op}:{first.seq}")
+        except BaseException:
+            try:
+                self._wal.truncate(start)
+            except Exception:
+                self._failed = "rolling a failed batch out of the WAL failed"
+                _log.error(self._failed, exc_info=True, seq=first.seq)
+            raise
+        self._next_seq = records[-1].seq + 1
+        for record in records:
             self._apply(record)
             self._applied_seq = record.seq
-            self._acked_batches += 1
-            self._maybe_compact()
+        self._acked_batches += 1
+        self._maybe_compact()
+
+    def _check_writable(self) -> None:
+        if self._failed is not None:
+            raise RuntimeError(
+                f"{self.directory} refuses writes: {self._failed}; "
+                "reopen it to recover from the log"
+            )
 
     # ---------------------------------------------------------- compaction
     def _maybe_compact(self) -> None:
@@ -274,33 +309,26 @@ class IngestManager:
 
         Crash-safety by phase (each has a ``compaction.run`` fault
         site): before the rename (``begin``/``swap``) the old segment
-        plus the intact WALs fully reconstruct the state; after the
+        plus the intact WAL fully reconstruct the state; after the
         rename (``reset``) the new segment's ``applied_seq`` makes any
         not-yet-truncated WAL records no-ops on replay.
         """
         with self._lock, obs_span("compaction.run") as compact_span:
+            self._check_writable()
             started = time.perf_counter()
             fault_point("compaction.run", detail="begin")
             generation = self._generation + 1
+            folded, tombstones = self.index.fold()
             segment = Segment(
-                index=self.index.compacted(),
-                tombstones=tuple(sorted(self.index.tombstones)),
+                index=folded,
+                tombstones=tuple(tombstones),
                 applied_seq=self._applied_seq,
                 generation=generation,
             )
             fault_point("compaction.run", detail="swap")
             save_segment(segment, self.directory / SEGMENT_FILE)
             fault_point("compaction.run", detail="reset")
-            for wal in self._wals.values():
-                wal.reset()
-            wal_dir = self.directory / WAL_DIR
-            if wal_dir.is_dir():
-                for path in wal_dir.glob("shard-*.log"):
-                    shard_id = int(path.stem.split("-")[1])
-                    if shard_id not in self._wals:
-                        WriteAheadLog.replay(path)  # ensure intact, then reset
-                        with WriteAheadLog(path) as stale:
-                            stale.reset()
+            self._wal.truncate()
             self.index.rebase(segment.index, segment.tombstones)
             self._generation = generation
             self._ops_since_compact = 0
@@ -341,10 +369,7 @@ class IngestManager:
         return self._applied_seq
 
     def wal_bytes(self) -> int:
-        wal_dir = self.directory / WAL_DIR
-        if not wal_dir.is_dir():
-            return 0
-        return sum(p.stat().st_size for p in wal_dir.glob("shard-*.log"))
+        return self._wal.path.stat().st_size
 
     def stats(self) -> dict:
         """Counters for ``/stats`` and the ``gced_ingest_*`` metrics."""
@@ -370,9 +395,7 @@ class IngestManager:
 
     def close(self) -> None:
         with self._lock:
-            for wal in self._wals.values():
-                wal.close()
-            self._wals.clear()
+            self._wal.close()
 
     def __enter__(self) -> "IngestManager":
         return self

@@ -63,8 +63,7 @@ class MutableInvertedIndex(_ViewStats):
     def __init__(self, base: InvertedIndex, tombstones: Iterable[int] = ()) -> None:
         self._base = base
         self._lock = threading.RLock()
-        # Id-space buffers: slots past the frontier _n read -1 / dead until
-        # an add claims one, so skipped ids stay tombstoned gaps.  The
+        # Id-space buffers with spare capacity past the frontier _n.  The
         # shared base.lengths has no spare room, so it is never written.
         self._n = len(base.docs)
         self._lengths = base.lengths
@@ -121,7 +120,7 @@ class MutableInvertedIndex(_ViewStats):
         The folded overlay plus the tombstone ids, so workers rebuild the
         same live statistics; the lock is held only to capture the view.
         """
-        folded, tombstones = self._fold()
+        folded, tombstones = self.fold()
         payload = {
             "format": "gced-mutable-index",
             "index": folded.to_dict(),
@@ -179,7 +178,7 @@ class MutableInvertedIndex(_ViewStats):
 
     @property
     def docs(self) -> tuple[str, ...]:
-        """The full id space, ``""`` at tombstoned (and gap) slots."""
+        """The full id space, ``""`` at tombstoned slots."""
         return self.compacted().docs
 
     @property
@@ -211,17 +210,15 @@ class MutableInvertedIndex(_ViewStats):
     def apply_add(self, doc_id: int, text: str) -> None:
         """Insert ``text`` at exactly ``doc_id`` (the WAL-recorded id).
 
-        Ids are append-only: ``doc_id`` must be at or past the current
-        frontier.  Skipped ids (a crash tore an earlier record out of a
-        batch whose later records survived) become permanent tombstoned
-        gaps — they were never acknowledged, so nothing may surface them.
+        Ids are append-only and contiguous: ``doc_id`` must be
+        :attr:`next_doc_id`, so replaying a log whose ids skip or repeat
+        fails loudly instead of inventing slots.
         """
         with self._lock:
-            next_id = self.next_doc_id
-            if doc_id < next_id:
+            if doc_id != self._n:
                 raise ValueError(
-                    f"doc id {doc_id} already allocated "
-                    f"(next is {next_id}); ids are append-only"
+                    f"doc id {doc_id} is not the next id {self._n}; "
+                    "ids are append-only"
                 )
             counts = Counter(word_tokens(text))
             length = sum(counts.values())
@@ -232,7 +229,6 @@ class MutableInvertedIndex(_ViewStats):
             self._lengths[doc_id] = length
             self._dead[doc_id] = False
             self._extra_docs[doc_id] = text
-            self._n_dead += doc_id - next_id
             self._total_len += length
             self._live += 1
             self._n = doc_id + 1
@@ -306,9 +302,9 @@ class MutableInvertedIndex(_ViewStats):
         so the result plus :attr:`tombstones` is a ``gced-index`` v2 segment;
         serving re-wraps it in :class:`MutableInvertedIndex` for live stats.
         """
-        return self._fold()[0]
+        return self.fold()[0]
 
-    def _fold(self) -> tuple[InvertedIndex, list[int]]:
+    def fold(self) -> tuple[InvertedIndex, list[int]]:
         """The folded index and its tombstone ids; locked only to capture."""
         with self._lock:
             base, view = self._base, self.read_view()

@@ -100,16 +100,15 @@ class CorpusRetriever:
         corpus: Iterable[str],
         n_shards: int = 4,
         workers: int = 1,
-        backend: str = "thread",
         scorer: RankingScorer | None = None,
         metadata: dict | None = None,
     ) -> "CorpusRetriever":
         """Index ``corpus`` on the engine executor and wrap it.
 
-        ``workers``/``backend`` pick the executor exactly as the batch
-        distiller does; the built index is byte-identical regardless.
+        ``workers`` picks the executor exactly as the batch distiller
+        does; the built index is byte-identical regardless.
         """
-        with build_executor(workers=workers, backend=backend) as executor:
+        with build_executor(workers=workers) as executor:
             index = InvertedIndex.build(
                 corpus, n_shards=n_shards, executor=executor, metadata=metadata
             )

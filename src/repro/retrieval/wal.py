@@ -1,10 +1,10 @@
 """Crash-safe write-ahead logging for live corpus ingestion.
 
-Every corpus mutation (document add, tombstone delete) is appended to a
-per-shard log *before* it touches the in-memory index, and the append is
-fsynced before the write is acknowledged — the durability contract the
-ingest layer states is exactly "an acknowledged write survives SIGKILL
-at any byte".
+Every corpus mutation (document add, tombstone delete) is appended to
+the ingest directory's one log *before* it touches the in-memory index,
+and the append is fsynced before the write is acknowledged — the
+durability contract the ingest layer states is exactly "an acknowledged
+write survives SIGKILL at any byte".
 
 Record framing is length-prefixed and checksummed::
 
@@ -21,8 +21,10 @@ that was fsynced before the crash is in that prefix.
 
 Fsync policy is group commit: :meth:`append` only buffers; callers batch
 any number of appends and then :meth:`sync` once before acknowledging
-the batch.  ``fault_point("wal.append")`` sits inside :meth:`append` so
-chaos tests can SIGKILL mid-append and exercise the torn-tail path.
+the batch.  A batch that fails before it is acknowledged is rolled back
+with :meth:`truncate` to the offset it started at.
+``fault_point("wal.append")`` sits inside :meth:`append` so chaos tests
+can SIGKILL mid-append and exercise the torn-tail path.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Iterator
 
 from repro.faults import fault_point
 
-__all__ = ["WalRecord", "WriteAheadLog", "replay_directory"]
+__all__ = ["WalRecord", "WriteAheadLog"]
 
 _HEADER = struct.Struct(">II")
 """(payload_length, crc32) — 8 bytes, big-endian."""
@@ -49,13 +51,12 @@ class WalRecord:
     """One durable corpus mutation.
 
     Attributes:
-        seq: global, monotonically increasing sequence number across all
-            shard logs — replay merges per-shard logs back into total
-            order by sorting on it.
+        seq: monotonically increasing sequence number; a compacted
+            segment's ``applied_seq`` says which records it already holds.
         op: ``"add"`` or ``"delete"``.
         doc_id: the corpus id the operation targets.  Assigned at append
-            time (not replay time) so recovery reproduces the exact id
-            and shard layout of the original run.
+            time (not replay time) so recovery reproduces the exact ids
+            of the original run.
         text: the paragraph for ``add`` records; ``""`` for deletes.
     """
 
@@ -83,7 +84,7 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """An append-only, checksummed log file for one shard.
+    """An append-only, checksummed log file.
 
     Not thread-safe on its own — the ingest manager serializes writers.
     """
@@ -119,10 +120,13 @@ class WriteAheadLog:
             os.fsync(self._file.fileno())
             self._pending = 0
 
-    def reset(self) -> None:
-        """Truncate to empty (after compaction folds the log away)."""
-        self._file.seek(0)
-        self._file.truncate()
+    def truncate(self, offset: int = 0) -> None:
+        """Cut the log back to ``offset`` bytes, durably.
+
+        ``0`` empties it after compaction folds it away; the offset a
+        batch started at rolls back appends that were never acknowledged.
+        """
+        self._file.truncate(offset)
         self._file.flush()
         os.fsync(self._file.fileno())
         self._pending = 0
@@ -189,26 +193,3 @@ def _iter_frames(data: bytes) -> Iterator[tuple[int, bytes]]:
             return  # torn or corrupt frame — treat as end of log
         yield end, payload
         pos = end
-
-
-def replay_directory(
-    directory: str | pathlib.Path, truncate: bool = True
-) -> tuple[list[WalRecord], int]:
-    """Replay every ``shard-*.log`` under ``directory`` in seq order.
-
-    Per-shard logs are independently torn-tail-truncated, then merged by
-    ``seq`` into the total order the writes were acknowledged in.  A
-    crash mid-batch can leave a *gap* in the merged sequence (a later
-    record fsynced, an earlier one torn) — gapped records were never
-    acknowledged, so replay simply applies what survived, in order.
-    """
-    directory = pathlib.Path(directory)
-    merged: list[WalRecord] = []
-    torn_total = 0
-    if directory.is_dir():
-        for path in sorted(directory.glob("shard-*.log")):
-            records, torn = WriteAheadLog.replay(path, truncate=truncate)
-            merged.extend(records)
-            torn_total += torn
-    merged.sort(key=lambda record: record.seq)
-    return merged, torn_total

@@ -83,10 +83,7 @@ class ServiceConfig:
     seed: int = _knob(0, "master seed for dataset generation and training")
     n_train: int = _knob(100, "training-split size")
     n_dev: int = _knob(60, "dev-split size")
-    workers: int = _knob(1, "executor pool size (1 = serial)")
-    backend: str = _knob(
-        "thread", "parallel executor backend", choices=("thread", "process")
-    )
+    workers: int = _knob(1, "executor pool size (1 = serial, more = a process pool)")
     cache_size: int = _knob(
         4096, "finished results memoized by the distiller (LRU)"
     )
@@ -180,7 +177,7 @@ class DistillService:
         )
         # Durable write path.  Wired *before* the distiller so the
         # pipeline snapshot (built at distiller construction for process
-        # backends) already carries the mutable, WAL-recovered index.
+        # pools) already carries the mutable, WAL-recovered index.
         self.ingest: IngestManager | None = None
         if config.ingest_dir and retriever is not None:
             self.ingest = IngestManager.open(
@@ -198,7 +195,6 @@ class DistillService:
             gced,
             cache_size=config.cache_size,
             workers=config.workers,
-            backend=config.backend,
             breaker_failures=config.breaker_failures,
             breaker_reset_s=config.breaker_reset_s,
         )
@@ -241,7 +237,6 @@ class DistillService:
         retriever = CorpusRetriever.build(
             corpus,
             workers=config.workers,
-            backend=config.backend,
             metadata={"dataset": config.dataset, "seed": config.seed},
         )
         service = cls(gced, config, retriever=retriever)

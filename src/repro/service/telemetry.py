@@ -409,7 +409,7 @@ class ServiceTelemetry:
                     ),
                     gauge_family(
                         f"{_PREFIX}_ingest_wal_bytes",
-                        "Bytes in the per-shard write-ahead logs",
+                        "Bytes in the write-ahead log",
                         ingest_stats["wal_bytes"],
                     ),
                     gauge_family(

@@ -298,7 +298,7 @@ def memoize_method(maxsize: int = 1024) -> Callable:
             cache: LRUCache | None = getattr(self, attr, None)
             if cache is None:
                 # Double-checked under a lock: concurrent first calls from
-                # a thread pool must not each install their own cache.
+                # two threads must not each install their own cache.
                 with _MEMO_CREATE_LOCK:
                     cache = getattr(self, attr, None)
                     if cache is None:

@@ -3,6 +3,7 @@ instrumentation, and the executor-backed batch distiller."""
 
 from __future__ import annotations
 
+import os
 import pickle
 
 import pytest
@@ -113,6 +114,20 @@ class TestStageRegistry:
 
 
 # --------------------------------------------------------------- executors
+# Process-pool work must pickle, so the mapped functions live at module
+# level (key functions run in the parent and may be lambdas).
+def _square(x):
+    return x * x
+
+
+def _tagged_pid(x):
+    return x, os.getpid()
+
+
+def _boom(x):
+    raise RuntimeError(f"boom {x}")
+
+
 class TestExecutors:
     def test_serial_preserves_order(self):
         assert SerialExecutor().map(lambda x: x * 2, range(7)) == [
@@ -120,29 +135,37 @@ class TestExecutors:
         ]
 
     def test_parallel_preserves_order_with_grouping(self):
-        with ParallelExecutor(workers=3) as executor:
+        with ParallelExecutor(workers=2) as executor:
             items = list(range(40))
-            out = executor.map(lambda x: x * x, items, key=lambda x: x % 5)
+            out = executor.map(_square, items, key=lambda x: x % 5)
         assert out == [x * x for x in items]
+
+    def test_locality_groups_share_a_chunk(self):
+        # One chunk per worker: each key group lands whole in one chunk,
+        # so each group runs in exactly one worker process.
+        items = [i % 2 for i in range(20)]
+        with ParallelExecutor(workers=2, chunks_per_worker=1) as executor:
+            out = executor.map(_tagged_pid, items, key=lambda x: x)
+        assert [x for x, _pid in out] == items
+        for group in (0, 1):
+            assert len({pid for x, pid in out if x == group}) == 1
+        assert os.getpid() not in {pid for _x, pid in out}
 
     def test_serial_and_parallel_agree(self):
         items = ["b", "a", "c", "a", "b"] * 4
         serial = SerialExecutor().map(str.upper, items, key=lambda s: s)
-        with ParallelExecutor(workers=4) as executor:
+        with ParallelExecutor(workers=2) as executor:
             parallel = executor.map(str.upper, items, key=lambda s: s)
         assert serial == parallel
 
     def test_empty_input(self):
         with ParallelExecutor(workers=2) as executor:
-            assert executor.map(lambda x: x, []) == []
+            assert executor.map(_square, []) == []
 
     def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
         with ParallelExecutor(workers=2) as executor:
             with pytest.raises(RuntimeError, match="boom"):
-                executor.map(boom, [1, 2, 3])
+                executor.map(_boom, [1, 2, 3])
 
     def test_build_executor(self):
         assert isinstance(build_executor(1), SerialExecutor)
@@ -150,17 +173,9 @@ class TestExecutors:
         assert build_executor(3).workers == 3
         assert build_executor(0).workers >= 1
 
-    def test_invalid_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ParallelExecutor(workers=2, backend="carrier-pigeon")
-
-    def test_prebuilt_process_executor_rejected(self, gced):
-        # A caller-supplied process pool has no pipeline initializer, so
-        # the distiller must refuse it up front rather than fail to
-        # pickle itself at the first distill_many.
-        with ParallelExecutor(workers=2, backend="process") as executor:
-            with pytest.raises(ValueError, match="initializer"):
-                BatchDistiller(gced, executor=executor)
+    def test_invalid_backend(self, gced):
+        with pytest.raises(ValueError, match="thread backend was removed"):
+            BatchDistiller(gced, workers=2, backend="thread")
 
 
 # --------------------------------------------------------- LRU cache fixes
@@ -227,7 +242,7 @@ class TestBatchDistillerParallel:
     def test_parallel_matches_serial(self, gced):
         triples = self._triples()
         serial = BatchDistiller(gced).distill_many(triples)
-        with BatchDistiller(gced, workers=3, backend="thread") as batch:
+        with BatchDistiller(gced, workers=2) as batch:
             parallel = batch.distill_many(triples)
         assert [r.evidence for r in parallel] == [r.evidence for r in serial]
         assert [r.scores for r in parallel] == [r.scores for r in serial]
@@ -236,13 +251,13 @@ class TestBatchDistillerParallel:
     def test_parallel_preserves_input_order(self, gced):
         triples = self._triples()
         expected = [gced.distill(q, a, c).evidence for q, a, c in triples]
-        with BatchDistiller(gced, workers=4) as batch:
+        with BatchDistiller(gced, workers=2) as batch:
             results = batch.distill_many(triples)
         assert [r.evidence for r in results] == expected
 
     def test_parallel_cache_hit_accounting(self, gced):
         triples = self._triples(4) * 3
-        with BatchDistiller(gced, workers=3) as batch:
+        with BatchDistiller(gced, workers=2) as batch:
             batch.distill_many(triples)
             stats = batch.stats()
         assert stats.n_distilled == 4

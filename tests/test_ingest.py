@@ -4,6 +4,9 @@ The load-bearing contracts, each pinned here:
 
 * WAL replay is an identity over synced appends, and a torn tail (the
   crash landed mid-frame) truncates cleanly back to the last good record;
+* each batch costs one fsync of the directory's one log, a batch that
+  fails before it is acknowledged is rolled back out of the log, and
+  replay is strict — a record it cannot apply is corruption;
 * the mutable delta-over-base index scores *byte-identically* to a clean
   from-scratch replay of the same operation log — live ingest never
   perturbs BM25 floats;
@@ -20,6 +23,7 @@ The load-bearing contracts, each pinned here:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -30,7 +34,7 @@ import textwrap
 
 import pytest
 
-from repro.faults import ENV_VAR
+from repro.faults import ENV_VAR, FaultPlan, FaultSpec, injected
 from repro.retrieval import (
     BM25Scorer,
     CorpusRetriever,
@@ -43,7 +47,6 @@ from repro.retrieval import (
     WriteAheadLog,
     load_index,
     load_segment,
-    replay_directory,
     save_index,
     save_segment,
 )
@@ -87,24 +90,21 @@ def _offline_rebuild(directory: pathlib.Path) -> MutableInvertedIndex:
     """Independent rebuild: segment base + WAL replay, no manager code."""
     segment = load_segment(directory / "segment.json")
     reference = MutableInvertedIndex(segment.index, segment.tombstones)
-    records, _torn = replay_directory(directory / "wal")
+    records, _torn = wal_replay(directory / "wal.log")
     for record in records:
         if record.seq <= segment.applied_seq:
             continue
         if record.op == "add":
             reference.apply_add(record.doc_id, record.text)
         else:
-            try:
-                reference.apply_delete(record.doc_id)
-            except KeyError:
-                pass
+            reference.apply_delete(record.doc_id)
     return reference
 
 
 # ------------------------------------------------------------------- WAL
 class TestWriteAheadLog:
     def test_append_sync_replay_roundtrip(self, tmp_path):
-        path = tmp_path / "shard-0000.log"
+        path = tmp_path / "wal.log"
         records = [
             WalRecord(seq=1, op="add", doc_id=4, text="alpha beta"),
             WalRecord(seq=2, op="delete", doc_id=4),
@@ -119,7 +119,7 @@ class TestWriteAheadLog:
         assert torn == 0
 
     def test_torn_tail_truncated_and_appendable(self, tmp_path):
-        path = tmp_path / "shard-0000.log"
+        path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append(WalRecord(seq=1, op="add", doc_id=0, text="alpha"))
             wal.sync()
@@ -141,7 +141,7 @@ class TestWriteAheadLog:
         assert torn == 0
 
     def test_corrupt_crc_stops_replay_at_tear(self, tmp_path):
-        path = tmp_path / "shard-0000.log"
+        path = tmp_path / "wal.log"
         with WriteAheadLog(path) as wal:
             wal.append(WalRecord(seq=1, op="add", doc_id=0, text="alpha"))
             offset = wal.append(
@@ -156,19 +156,6 @@ class TestWriteAheadLog:
         assert torn > 0
         assert path.stat().st_size == offset
 
-    def test_replay_directory_merges_by_seq(self, tmp_path):
-        wal_dir = tmp_path / "wal"
-        wal_dir.mkdir()
-        with WriteAheadLog(wal_dir / "shard-0001.log") as wal:
-            wal.append(WalRecord(seq=2, op="add", doc_id=1, text="b"))
-            wal.sync()
-        with WriteAheadLog(wal_dir / "shard-0000.log") as wal:
-            wal.append(WalRecord(seq=1, op="add", doc_id=0, text="a"))
-            wal.append(WalRecord(seq=3, op="add", doc_id=2, text="c"))
-            wal.sync()
-        records, torn = replay_directory(wal_dir)
-        assert [record.seq for record in records] == [1, 2, 3]
-        assert torn == 0
 
 
 # --------------------------------------------------------- mutable index
@@ -345,7 +332,7 @@ class TestIngestManager:
             manager.add_documents(["payload record zero token0"])
             # Read the WAL directly, bypassing the manager: the record
             # must already be durable (fsynced) by the time add returned.
-            records, torn = replay_directory(tmp_path / "wal")
+            records, torn = wal_replay(tmp_path / "wal.log")
         assert torn == 0
         assert [record.op for record in records] == ["add"]
         assert records[0].text == "payload record zero token0"
@@ -375,6 +362,88 @@ class TestIngestManager:
             assert reopened.index.docs == docs
             assert reopened.stats()["replay_skipped"] == 1
             assert reopened.stats()["replayed_records"] == 0
+
+
+    def test_batch_costs_one_fsync(self, tmp_path, monkeypatch):
+        with IngestManager.open(tmp_path, base_corpus=SEED) as manager:
+            fsyncs = []
+            real_fsync = os.fsync
+
+            def counting_fsync(fd):
+                fsyncs.append(fd)
+                real_fsync(fd)
+
+            monkeypatch.setattr(os, "fsync", counting_fsync)
+            manager.add_documents([f"payload record {i}" for i in range(8)])
+        assert len(fsyncs) == 1
+
+    def test_nonempty_legacy_shard_log_refused(self, tmp_path):
+        IngestManager.open(tmp_path, base_corpus=SEED).close()
+        legacy = tmp_path / "wal" / "shard-0001.log"
+        legacy.parent.mkdir()
+        legacy.write_bytes(b"")
+        # Empty legacy logs (what a compaction leaves) are ignored.
+        IngestManager.open(tmp_path).close()
+        with WriteAheadLog(legacy) as wal:
+            wal.append(WalRecord(seq=1, op="add", doc_id=4, text="old"))
+        with pytest.raises(ValueError, match="shard-0001.log.*earlier release"):
+            IngestManager.open(tmp_path)
+
+    def test_unappliable_record_is_corruption(self, tmp_path):
+        IngestManager.open(tmp_path, base_corpus=SEED).close()
+        with WriteAheadLog(tmp_path / "wal.log") as wal:
+            wal.append(WalRecord(seq=1, op="add", doc_id=4, text="fine"))
+            wal.append(WalRecord(seq=2, op="add", doc_id=6, text="skips 5"))
+        with pytest.raises(ValueError, match="corrupt: record seq 2"):
+            IngestManager.open(tmp_path)
+
+    @pytest.mark.parametrize("mode", ["wal.append", "ingest.apply", "fsync"])
+    def test_failed_commit_is_rolled_back(self, tmp_path, monkeypatch, mode):
+        with IngestManager.open(tmp_path, base_corpus=SEED) as manager:
+            manager.add_documents(["payload record zero token0"])
+            failing = ["failed batch one", "failed batch two", "failed three"]
+            if mode == "fsync":
+                real_fsync = os.fsync
+                calls = []
+
+                def flaky_fsync(fd):
+                    calls.append(fd)
+                    if len(calls) == 1:
+                        raise OSError(errno.EIO, "injected EIO")
+                    real_fsync(fd)
+
+                monkeypatch.setattr(os, "fsync", flaky_fsync)
+                with pytest.raises(OSError):
+                    manager.add_documents(failing)
+            else:
+                # wal.append fires mid-batch, on the second record.
+                skip = 1 if mode == "wal.append" else 0
+                plan = FaultPlan((FaultSpec(site=mode, skip=skip, times=1),))
+                with injected(plan), pytest.raises(RuntimeError):
+                    manager.add_documents(failing)
+            acked = manager.add_documents(["acked after failure"])
+            assert acked == [len(SEED) + 1]
+            live = manager.index
+        with IngestManager.open(tmp_path) as reopened:
+            assert reopened.index.doc_text(acked[0]) == "acked after failure"
+            assert "failed" not in " ".join(reopened.index.docs)
+            _assert_equivalent(reopened.index, live)
+
+    def test_failed_rollback_refuses_writes_until_reopen(
+        self, tmp_path, monkeypatch
+    ):
+        def broken_fsync(fd):
+            raise OSError(errno.EIO, "injected EIO")
+
+        with IngestManager.open(tmp_path, base_corpus=SEED) as manager:
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "fsync", broken_fsync)
+                with pytest.raises(OSError):
+                    manager.add_documents(["never acknowledged"])
+            with pytest.raises(RuntimeError, match="refuses writes"):
+                manager.add_documents(["refused"])
+        with IngestManager.open(tmp_path) as reopened:
+            assert reopened.add_documents(["accepted"]) == [len(SEED)]
 
 
 # ------------------------------------------------- SIGKILL crash recovery
@@ -488,10 +557,8 @@ class TestSigkillRecovery:
         """A kill plus a physically torn frame still recovers cleanly."""
         plan = "ingest.apply:die:times=1,skip=6"
         acked_adds, acked_deletes = _run_killed_child(tmp_path, "ingest", plan)
-        # Physically tear the tail of one WAL shard on top of the crash.
-        wal_files = sorted((tmp_path / "wal").glob("shard-*.log"))
-        assert wal_files
-        with wal_files[0].open("ab") as handle:
+        # Physically tear the WAL's tail on top of the crash.
+        with (tmp_path / "wal.log").open("ab") as handle:
             handle.write(b"\x00\x00\x01\x00garbage-without-full-frame")
         with IngestManager.open(tmp_path) as manager:
             assert manager.stats()["torn_bytes"] > 0

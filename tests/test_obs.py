@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.obs` primitives, the service-side wiring
 (:class:`ServiceTelemetry`, ``/metrics``, ``/debug/traces``,
-``X-Trace-Id``), cross-pool trace propagation (thread and process
+``X-Trace-Id``), trace propagation (serial execution and process
 workers, snapshot on and off), the scheduler's EWMA-on-success-only
 batch latency, and the byte-identity guarantee: telemetry must observe
 the pipeline without steering it.
@@ -450,10 +450,10 @@ class TestSchedulerEwma:
 
 
 class TestTracePropagation:
-    def test_thread_pool_spans_join_parent_trace(self, artifacts):
+    def test_serial_spans_join_parent_trace(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         cases = QA_CASES[:3]
-        with BatchDistiller(gced, workers=2, backend="thread") as batch:
+        with BatchDistiller(gced, workers=1) as batch:
             with start_trace("parent") as handle:
                 batch.distill_many(cases)
         names = [s.name for s in handle.trace.spans]
@@ -461,7 +461,7 @@ class TestTracePropagation:
         engine_spans = [
             s for s in handle.trace.spans if s.name == "engine.distill"
         ]
-        # Thread workers re-activate the caller's context: engine spans
+        # Serial execution runs in the caller's context: engine spans
         # parent directly on the root span, stage spans on their engine
         # span, all inside the root interval.
         root = handle.root

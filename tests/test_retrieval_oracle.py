@@ -18,6 +18,7 @@ import sys
 import tempfile
 import threading
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.retrieval import (
@@ -183,8 +184,8 @@ class TestWriteBuffers:
         )
         # Many writes, no search between them: a delete inside the
         # published mask, buffers growing past their first capacity,
-        # deletes of base and delta ids, and an add that skips ids (they
-        # become tombstoned gaps).
+        # deletes of base and delta ids, and a refused add that skips ids
+        # (ids are contiguous).
         index.apply_delete(1)
         del live[1]
         for i in range(40):
@@ -192,10 +193,12 @@ class TestWriteBuffers:
         for doc_id in (2, 5, 17, 43):
             index.apply_delete(doc_id)
             del live[doc_id]
-        gap_start = index.next_doc_id
-        index.apply_add(gap_start + 3, "gamma gamma alpha")
-        live[gap_start + 3] = "gamma gamma alpha"
-        assert not any(index.is_live(gap_start + i) for i in range(3))
+        next_id = index.next_doc_id
+        with pytest.raises(ValueError, match="append-only"):
+            index.apply_add(next_id + 3, "gamma gamma alpha")
+        assert index.next_doc_id == next_id
+        index.apply_add(next_id, "gamma gamma alpha")
+        live[next_id] = "gamma gamma alpha"
         assert (view.lengths == frozen[0]).all()
         assert (view.dead == frozen[1]).all()
         assert view.delta.keys() == frozen[2].keys() == {"alpha", "gamma"}
@@ -252,6 +255,10 @@ def _pinned_state() -> tuple[InvertedIndex, MutableInvertedIndex, Segment]:
     live = MutableInvertedIndex(index)
     live.add("payload record zero the battle")
     live.apply_delete(1)
+    # Ids 8 and 9 are added and deleted, leaving a run of dead slots.
+    for doc_id in (8, 9):
+        live.apply_add(doc_id, f"filler{doc_id}")
+        live.apply_delete(doc_id)
     live.apply_add(10, "gap record after a torn batch the broncos")
     live.apply_delete(7)
     segment = Segment(

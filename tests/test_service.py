@@ -494,9 +494,7 @@ class TestServiceConfig:
 
     def test_every_serving_value_comes_from_config(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        config = ServiceConfig(
-            workers=2, backend="process", cache_size=7, top_k=5
-        )
+        config = ServiceConfig(workers=2, cache_size=7, top_k=5)
         with DistillService(
             gced, config=config, retriever=CorpusRetriever.build(CORPUS)
         ) as service:

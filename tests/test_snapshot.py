@@ -296,7 +296,7 @@ class TestSharedMemoryCleanup:
 
 class TestExecutorLifecycle:
     def test_map_after_close_raises(self):
-        executor = ParallelExecutor(workers=2, backend="thread")
+        executor = ParallelExecutor(workers=2)
         executor.warmup()
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -306,7 +306,7 @@ class TestExecutorLifecycle:
         executor.close()  # idempotent
 
     def test_warmup_report_collects_probe_results(self):
-        executor = ParallelExecutor(workers=2, backend="process")
+        executor = ParallelExecutor(workers=2)
         try:
             report = executor.warmup(probe=os.getpid)
             assert report.seconds >= 0
@@ -518,7 +518,7 @@ class TestSnapshotGeneration:
             assert info["generation"] == outcome["generation"]
             assert info["last_refresh"]["broadcast_ms"] >= 0
 
-    def test_refresh_snapshot_noop_for_thread_backend(self, artifacts):
+    def test_refresh_snapshot_noop_for_serial(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with BatchDistiller(gced, workers=2, backend="thread") as batch:
+        with BatchDistiller(gced, workers=1) as batch:
             assert batch.refresh_snapshot() is None
