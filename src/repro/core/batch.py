@@ -311,7 +311,9 @@ class BatchDistiller:
         self._stats_lock = threading.Lock()
         self._n_distilled = 0
         self._n_hits = 0
-        self._reductions: list[float] = []
+        # Summed in record order, so mean_reduction equals the mean
+        # over every result distilled so far.
+        self._reduction_sum = 0.0
         # Trips open after repeated unrecovered pool breaks; while open,
         # _execute() degrades to serial in-parent execution.
         self.pool_breaker = CircuitBreaker(
@@ -343,7 +345,7 @@ class BatchDistiller:
         self._results.put(key, result)
         with self._stats_lock:
             self._n_distilled += 1
-            self._reductions.append(result.reduction)
+            self._reduction_sum += result.reduction
 
     # -------------------------------------------------------------- batch
     def distill_many(
@@ -614,7 +616,7 @@ class BatchDistiller:
         with self._stats_lock:
             n_distilled = self._n_distilled
             n_hits = self._n_hits
-            reductions = list(self._reductions)
+            reduction_sum = self._reduction_sum
         n = max(1, n_distilled)
         profile = self.profile()
         return BatchStats(
@@ -623,7 +625,7 @@ class BatchDistiller:
             total_seconds=total,
             mean_ms=1000.0 * total / n,
             mean_reduction=(
-                sum(reductions) / len(reductions) if reductions else 0.0
+                reduction_sum / n_distilled if n_distilled else 0.0
             ),
             cache_stats=tuple(
                 profile.caches[name] for name in sorted(profile.caches)

@@ -13,14 +13,14 @@ metric sets fold into a coordinator's — the same delta-merging contract
 
 A :class:`MetricsRegistry` owns *direct* instruments (created through
 :meth:`MetricsRegistry.counter` etc., optionally labelled) and
-*callback* families (:meth:`MetricsRegistry.register_callback`) that
-sample live system state — queue depths, cache hit counts — at scrape
-time, so ``GET /metrics`` and ``/stats`` read the very same counters and
-can never disagree.  :meth:`MetricsRegistry.render` emits Prometheus
-text exposition (format 0.0.4); :func:`lint_exposition` is the
-pure-python validator behind ``tools/check_metrics.py``; and
-:func:`parse_exposition` gives tests and the serve self-test sample
-values by name and label set.
+*callback* families (:meth:`MetricsRegistry.register_callback`) built at
+scrape time from state the registry does not own (the service's
+callback projects one ``/stats`` snapshot, see
+:func:`repro.service.telemetry.project_stats`).
+:meth:`MetricsRegistry.render` emits Prometheus text exposition (format
+0.0.4); :func:`lint_exposition` is the pure-python validator behind
+``tools/check_metrics.py``; and :func:`parse_exposition` gives tests and
+the serve self-test sample values by name and label set.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ __all__ = [
     "MetricsRegistry",
     "Sample",
     "TimingAccumulator",
-    "counter_family",
-    "gauge_family",
     "lint_exposition",
     "parse_exposition",
 ]
@@ -262,24 +260,6 @@ class MetricFamily:
         self.samples = samples
 
 
-def counter_family(
-    name: str, help: str, value=None, samples: list[Sample] | None = None
-) -> MetricFamily:
-    """A one-shot counter family from a scalar or prebuilt samples."""
-    if samples is None:
-        samples = [Sample(float(value))]
-    return MetricFamily(name, "counter", help, samples)
-
-
-def gauge_family(
-    name: str, help: str, value=None, samples: list[Sample] | None = None
-) -> MetricFamily:
-    """A one-shot gauge family from a scalar or prebuilt samples."""
-    if samples is None:
-        samples = [Sample(float(value))]
-    return MetricFamily(name, "gauge", help, samples)
-
-
 class _Labelled:
     """Per-label-value children of one labelled instrument."""
 
@@ -320,9 +300,8 @@ class MetricsRegistry:
 
     Direct instruments (``registry.counter(...)``) are for events the
     instrumented code observes itself (HTTP requests, latencies).
-    Callbacks (``registry.register_callback(fn)``) sample state owned by
-    other components — scheduler counters, cache hit rates — when the
-    page is scraped, so the exposition and ``/stats`` always agree.
+    Callbacks (``registry.register_callback(fn)``) return families built
+    when the page is scraped from state owned by other components.
     """
 
     def __init__(self) -> None:

@@ -181,9 +181,9 @@ class _DistillHandler(BaseHTTPRequestHandler):
         self._status = 0
         self._shed_reason: str | None = None
         self._trace_id: str | None = None
-        telemetry = getattr(self.service, "telemetry", None)
+        telemetry = self.service.telemetry
         handle = None
-        if telemetry is not None and route_key in _TRACED_ROUTES:
+        if route_key in _TRACED_ROUTES:
             handle = telemetry.maybe_trace(
                 "http.request",
                 trace_id=self.headers.get("X-Trace-Id") or None,
@@ -197,16 +197,15 @@ class _DistillHandler(BaseHTTPRequestHandler):
         else:
             self._route(method, path)
         elapsed = time.perf_counter() - started
-        if telemetry is not None:
-            telemetry.observe_request(
-                route=route_key if route_key in ROUTES else "unknown",
-                status=self._status,
-                seconds=elapsed,
-                shed_reason=self._shed_reason,
-            )
-            if handle is not None:
-                handle.tag(status=self._status)
-                telemetry.finish_trace(handle)
+        telemetry.observe_request(
+            route=route_key if route_key in ROUTES else "unknown",
+            status=self._status,
+            seconds=elapsed,
+            shed_reason=self._shed_reason,
+        )
+        if handle is not None:
+            handle.tag(status=self._status)
+            telemetry.finish_trace(handle)
         log_fields = {
             "method": method,
             "path": path,

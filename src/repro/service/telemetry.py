@@ -5,9 +5,11 @@ owns:
 
 * the :class:`~repro.obs.metrics.MetricsRegistry` behind ``GET /metrics``
   — direct instruments for what the HTTP layer observes itself (request
-  counts, latencies, shed reasons) plus a scrape-time callback that
-  samples the very same scheduler/admission/engine counters ``/stats``
-  reports, so the two surfaces can never disagree;
+  counts, latencies, shed reasons) plus a scrape-time callback that takes
+  one ``service.stats()`` snapshot and projects it through
+  :data:`STATS_FAMILIES` (:func:`project_stats`), so every other family
+  is a field of ``/stats`` and ``DistillService.stats()`` stays the only
+  reader of live serving state;
 * trace sampling policy (:meth:`maybe_trace`) — counter-based every-Nth
   sampling, never random, so enabling tracing cannot perturb seeded RNG
   state; a request carrying an explicit ``X-Trace-Id`` is always traced;
@@ -18,24 +20,317 @@ owns:
 from __future__ import annotations
 
 import itertools
-import threading
 
-from repro.faults import installed as faults_installed
 from repro.obs.exemplars import SlowTraceRing
-from repro.obs.metrics import (
-    MetricFamily,
-    MetricsRegistry,
-    Sample,
-    counter_family,
-    gauge_family,
-)
+from repro.obs.metrics import MetricFamily, MetricsRegistry, Sample
 from repro.obs.trace import TraceHandle, start_trace
 
-__all__ = ["ServiceTelemetry"]
+__all__ = ["STATS_FAMILIES", "ServiceTelemetry", "project_stats"]
 
 # Metric name prefix. Everything this module exports starts with it so a
 # shared Prometheus can scope dashboards with one matcher.
 _PREFIX = "gced"
+
+# Every scrape-time family, as ``(name, type, help, source)`` over one
+# ``DistillService.stats()`` snapshot.  ``source`` is one of:
+#
+# * ``"a.b"`` — the value at that dotted ``/stats`` path;
+# * ``("a.b", divisor)`` — that value divided by ``divisor`` (ms → s);
+# * ``{label: {value: "a.b"}}`` — one sample per label value;
+# * ``("a.b", label, field)`` — one sample per label value over a mapping
+#   (keyed by the label value) or a list of records (``record[label]``),
+#   summing ``field``, sorted by label value.
+#
+# A path that runs through ``None`` (no retriever, no ingest plane, no
+# snapshot, no fault plan) drops its sample; a family left without
+# samples is not exported.  docs/observability.md lists each row.
+STATS_FAMILIES = (
+    (
+        "uptime_seconds",
+        "gauge",
+        "Seconds since the service started",
+        "service.uptime_seconds",
+    ),
+    (
+        "scheduler_queue_depth",
+        "gauge",
+        "Requests currently queued for micro-batching",
+        "scheduler.queue_depth",
+    ),
+    (
+        "scheduler_inflight",
+        "gauge",
+        "Distinct triples currently executing or queued",
+        "scheduler.inflight",
+    ),
+    (
+        "scheduler_ewma_batch_seconds",
+        "gauge",
+        "EWMA of successful batch flush latency (Retry-After basis)",
+        ("scheduler.ewma_batch_ms", 1000.0),
+    ),
+    (
+        "scheduler_submitted_total",
+        "counter",
+        "Requests submitted to the scheduler (coalesced included)",
+        "scheduler.submitted",
+    ),
+    (
+        "scheduler_completed_total",
+        "counter",
+        "Request futures resolved successfully",
+        "scheduler.completed",
+    ),
+    (
+        "scheduler_failed_total",
+        "counter",
+        "Request futures resolved with an error",
+        "scheduler.failed",
+    ),
+    (
+        "scheduler_coalesced_total",
+        "counter",
+        "Submits that attached to identical in-flight work",
+        "scheduler.coalesced",
+    ),
+    (
+        "scheduler_shed_total",
+        "counter",
+        "Submits refused because the admission queue was full",
+        "scheduler.shed",
+    ),
+    (
+        "scheduler_batches_total",
+        "counter",
+        "Micro-batches flushed, by flush trigger",
+        {
+            "reason": {
+                "size": "scheduler.size_flushes",
+                "timeout": "scheduler.timeout_flushes",
+            }
+        },
+    ),
+    (
+        "deadline_expired_total",
+        "counter",
+        "Requests failed because their X-Deadline-Ms budget ran out",
+        "scheduler.deadline_expired",
+    ),
+    (
+        "admission_admitted_total",
+        "counter",
+        "Requests past the per-client token buckets",
+        "admission.admitted",
+    ),
+    (
+        "admission_rate_limited_total",
+        "counter",
+        "Requests refused by per-client token buckets",
+        "admission.rate_limited",
+    ),
+    (
+        "admission_clients",
+        "gauge",
+        "Distinct client token buckets",
+        "admission.clients",
+    ),
+    (
+        "batch_distilled_total",
+        "counter",
+        "Triples distilled by the engine (memo misses)",
+        "batch.n_distilled",
+    ),
+    (
+        "batch_memo_hits_total",
+        "counter",
+        "Triples served from the distiller's memo",
+        "batch.n_cache_hits",
+    ),
+    (
+        "stage_calls_total",
+        "counter",
+        "Pipeline stage executions, by stage",
+        ("stages", "stage", "calls"),
+    ),
+    (
+        "stage_seconds_total",
+        "counter",
+        "Pipeline stage wall-clock seconds, by stage",
+        ("stages", "stage", "seconds"),
+    ),
+    (
+        "cache_hits_total",
+        "counter",
+        "Shared-cache hits, by cache",
+        ("caches", "cache", "hits"),
+    ),
+    (
+        "cache_misses_total",
+        "counter",
+        "Shared-cache misses, by cache",
+        ("caches", "cache", "misses"),
+    ),
+    # Fault-tolerance plane.
+    (
+        "breaker_state",
+        "gauge",
+        "Circuit breaker state (0 closed, 1 half-open, 2 open)",
+        {
+            "breaker": {
+                "process_pool": "faults.pool.breaker.state_code",
+                "retrieval": "faults.retrieval.breaker.state_code",
+            }
+        },
+    ),
+    (
+        "degraded",
+        "gauge",
+        "1 while any circuit breaker is open or half-open",
+        "faults.degraded",
+    ),
+    (
+        "pool_breaks_total",
+        "counter",
+        "Times the worker process pool broke and was respawned",
+        "faults.pool.executor.pool_breaks",
+    ),
+    (
+        "chunk_retries_total",
+        "counter",
+        "Chunks retried successfully after a pool break",
+        "faults.pool.executor.chunk_retries",
+    ),
+    (
+        "recovery_seconds",
+        "gauge",
+        "Duration of the most recent pool respawn-and-retry",
+        ("faults.pool.executor.last_recovery_ms", 1000.0),
+    ),
+    (
+        "degraded_batches_total",
+        "counter",
+        "Batches executed serially in the coordinator (breaker open)",
+        "faults.pool.degraded_batches",
+    ),
+    (
+        "faults_injected_total",
+        "counter",
+        "Faults fired by the installed REPRO_FAULTS plan",
+        ("faults.plan.specs", "site", "fired"),
+    ),
+    # Durable live-corpus plane.
+    (
+        "ingest_docs_total",
+        "counter",
+        "Live-corpus operations applied, by operation",
+        {"op": {"add": "ingest.docs_added", "delete": "ingest.docs_deleted"}},
+    ),
+    (
+        "ingest_live_docs",
+        "gauge",
+        "Documents currently live (added minus tombstoned)",
+        "ingest.live_docs",
+    ),
+    (
+        "ingest_tombstones",
+        "gauge",
+        "Deleted doc ids awaiting compaction",
+        "ingest.tombstones",
+    ),
+    ("ingest_wal_bytes", "gauge", "Bytes in the write-ahead log", "ingest.wal_bytes"),
+    (
+        "ingest_generation",
+        "gauge",
+        "Compaction generation of the active segment",
+        "ingest.generation",
+    ),
+    (
+        "ingest_compactions_total",
+        "counter",
+        "WAL-into-segment compactions completed",
+        "ingest.compactions",
+    ),
+    (
+        "ingest_replayed_records_total",
+        "counter",
+        "WAL records re-applied during crash recovery",
+        "ingest.replayed_records",
+    ),
+    (
+        "ingest_torn_bytes_total",
+        "counter",
+        "Torn-tail bytes truncated from WALs on recovery",
+        "ingest.torn_bytes",
+    ),
+    # Pipeline-snapshot plane.
+    ("snapshot_bytes", "gauge", "Pipeline snapshot segment size", "snapshot.bytes"),
+    (
+        "snapshot_hydration_total",
+        "counter",
+        "Worker lazy-hydration lookups, by outcome",
+        {
+            "outcome": {
+                "hit": "snapshot.hydration.hits",
+                "miss": "snapshot.hydration.misses",
+            }
+        },
+    ),
+)
+
+
+def _lookup(stats: dict, path: str):
+    """The value at a dotted ``/stats`` path; None if the path hits None."""
+    value = stats
+    for key in path.split("."):
+        if value is None:
+            return None
+        value = value[key]
+    return value
+
+
+def _samples(stats: dict, source, labels: tuple = ()) -> list[Sample]:
+    """The samples one :data:`STATS_FAMILIES` source yields."""
+    if isinstance(source, str):
+        value = _lookup(stats, source)
+        return [] if value is None else [Sample(value, labels)]
+    if isinstance(source, dict):
+        ((label, paths),) = source.items()
+        return [
+            sample
+            for label_value, path in paths.items()
+            for sample in _samples(stats, path, ((label, label_value),))
+        ]
+    if len(source) == 2:
+        path, divisor = source
+        value = _lookup(stats, path)
+        return [] if value is None else [Sample(value / divisor)]
+    path, label, field = source
+    records = _lookup(stats, path)
+    if records is None:
+        return []
+    if isinstance(records, dict):
+        pairs = [(key, record[field]) for key, record in records.items()]
+    else:
+        pairs = [(record[label], record[field]) for record in records]
+    totals: dict = {}
+    for label_value, value in pairs:
+        totals[label_value] = totals.get(label_value, 0) + value
+    return [
+        Sample(total, ((label, label_value),))
+        for label_value, total in sorted(totals.items())
+    ]
+
+
+def project_stats(stats: dict) -> list[MetricFamily]:
+    """The scrape-time ``/metrics`` families of one ``/stats`` snapshot."""
+    families = []
+    for name, type_, help_, source in STATS_FAMILIES:
+        samples = _samples(stats, source)
+        if samples:
+            families.append(
+                MetricFamily(f"{_PREFIX}_{name}", type_, help_, samples)
+            )
+    return families
 
 
 class ServiceTelemetry:
@@ -50,14 +345,11 @@ class ServiceTelemetry:
     ) -> None:
         if not 0.0 <= trace_sample <= 1.0:
             raise ValueError("trace_sample must be within [0, 1]")
-        self.service = service
         self.trace_sample = trace_sample
         self.slow_ring = SlowTraceRing(
             capacity=slow_trace_capacity, threshold_ms=slow_trace_ms
         )
         self._sample_seq = itertools.count(1)
-        self._sampled = 0
-        self._lock = threading.Lock()
 
         registry = self.registry = MetricsRegistry()
         self.http_requests = registry.counter(
@@ -84,7 +376,7 @@ class ServiceTelemetry:
             f"{_PREFIX}_scheduler_batch_duration_seconds",
             "Micro-batch flush duration (successful and fallback batches)",
         )
-        registry.register_callback(self._collect)
+        registry.register_callback(lambda: project_stats(service.stats()))
         # The scheduler feeds flush durations into the histogram above.
         service.scheduler.on_batch = self._on_batch
 
@@ -107,8 +399,6 @@ class ServiceTelemetry:
                 if next(self._sample_seq) % period != 0:
                     return None
         self.traces_started.inc()
-        with self._lock:
-            self._sampled += 1
         return start_trace(name, trace_id=trace_id, **tags)
 
     def finish_trace(self, handle: TraceHandle) -> None:
@@ -140,12 +430,10 @@ class ServiceTelemetry:
 
     def stats_block(self) -> dict:
         """The ``obs`` block of ``/stats``."""
-        with self._lock:
-            sampled = self._sampled
         ring = self.slow_ring.snapshot()
         return {
             "trace_sample": self.trace_sample,
-            "traces_started": sampled,
+            "traces_started": int(self.traces_started.value),
             "slow_traces": {
                 "threshold_ms": ring["threshold_ms"],
                 "capacity": ring["capacity"],
@@ -153,305 +441,3 @@ class ServiceTelemetry:
                 "kept": ring["kept"],
             },
         }
-
-    # ---------------------------------------------------- scrape callback
-    def _collect(self) -> list[MetricFamily]:
-        """Scrape-time families sampled from the live ``/stats`` counters.
-
-        These read the same objects ``DistillService.stats()`` serializes
-        (scheduler counters, admission counters, the merged pipeline
-        profile), so ``/metrics`` and ``/stats`` agree by construction.
-        """
-        service = self.service
-        scheduler = service.scheduler.stats()
-        admission = service.admission.stats()
-        batch = service.distiller.stats()
-        profile = batch.profile
-
-        families = [
-            gauge_family(
-                f"{_PREFIX}_uptime_seconds",
-                "Seconds since the service started",
-                service.uptime_seconds,
-            ),
-            gauge_family(
-                f"{_PREFIX}_scheduler_queue_depth",
-                "Requests currently queued for micro-batching",
-                scheduler.queue_depth,
-            ),
-            gauge_family(
-                f"{_PREFIX}_scheduler_inflight",
-                "Distinct triples currently executing or queued",
-                scheduler.inflight,
-            ),
-            gauge_family(
-                f"{_PREFIX}_scheduler_ewma_batch_seconds",
-                "EWMA of successful batch flush latency (Retry-After basis)",
-                scheduler.ewma_batch_ms / 1000.0,
-            ),
-            counter_family(
-                f"{_PREFIX}_scheduler_submitted_total",
-                "Requests submitted to the scheduler (coalesced included)",
-                scheduler.submitted,
-            ),
-            counter_family(
-                f"{_PREFIX}_scheduler_completed_total",
-                "Request futures resolved successfully",
-                scheduler.completed,
-            ),
-            counter_family(
-                f"{_PREFIX}_scheduler_failed_total",
-                "Request futures resolved with an error",
-                scheduler.failed,
-            ),
-            counter_family(
-                f"{_PREFIX}_scheduler_coalesced_total",
-                "Submits that attached to identical in-flight work",
-                scheduler.coalesced,
-            ),
-            counter_family(
-                f"{_PREFIX}_scheduler_shed_total",
-                "Submits refused because the admission queue was full",
-                scheduler.shed,
-            ),
-            counter_family(
-                f"{_PREFIX}_scheduler_batches_total",
-                "Micro-batches flushed, by flush trigger",
-                samples=[
-                    Sample(scheduler.size_flushes, (("reason", "size"),)),
-                    Sample(scheduler.timeout_flushes, (("reason", "timeout"),)),
-                ],
-            ),
-            counter_family(
-                f"{_PREFIX}_admission_admitted_total",
-                "Requests past the per-client token buckets",
-                admission["admitted"],
-            ),
-            counter_family(
-                f"{_PREFIX}_admission_rate_limited_total",
-                "Requests refused by per-client token buckets",
-                admission["rate_limited"],
-            ),
-            gauge_family(
-                f"{_PREFIX}_admission_clients",
-                "Distinct client token buckets",
-                admission["clients"],
-            ),
-            counter_family(
-                f"{_PREFIX}_batch_distilled_total",
-                "Triples distilled by the engine (memo misses)",
-                batch.n_distilled,
-            ),
-            counter_family(
-                f"{_PREFIX}_batch_memo_hits_total",
-                "Triples served from the distiller's memo",
-                batch.n_cache_hits,
-            ),
-        ]
-        stage_calls = []
-        stage_seconds = []
-        for name, timing in sorted(profile.stages.items()):
-            label = (("stage", name),)
-            stage_calls.append(Sample(timing.calls, label))
-            stage_seconds.append(Sample(timing.seconds, label))
-        if stage_calls:
-            families.append(
-                counter_family(
-                    f"{_PREFIX}_stage_calls_total",
-                    "Pipeline stage executions, by stage",
-                    samples=stage_calls,
-                )
-            )
-            families.append(
-                counter_family(
-                    f"{_PREFIX}_stage_seconds_total",
-                    "Pipeline stage wall-clock seconds, by stage",
-                    samples=stage_seconds,
-                )
-            )
-        cache_hits = []
-        cache_misses = []
-        for name, stats in sorted(profile.caches.items()):
-            label = (("cache", name),)
-            cache_hits.append(Sample(stats.hits, label))
-            cache_misses.append(Sample(stats.misses, label))
-        if cache_hits:
-            families.append(
-                counter_family(
-                    f"{_PREFIX}_cache_hits_total",
-                    "Shared-cache hits, by cache",
-                    samples=cache_hits,
-                )
-            )
-            families.append(
-                counter_family(
-                    f"{_PREFIX}_cache_misses_total",
-                    "Shared-cache misses, by cache",
-                    samples=cache_misses,
-                )
-            )
-        # Fault-tolerance plane: breaker states (0 closed, 1 half-open,
-        # 2 open), degraded-mode counters, crash-recovery counters, and
-        # injected faults when a REPRO_FAULTS plan is active.
-        breaker_samples = [
-            Sample(
-                service.distiller.pool_breaker.stats()["state_code"],
-                (("breaker", "process_pool"),),
-            )
-        ]
-        if service.retriever is not None:
-            breaker_samples.append(
-                Sample(
-                    service.retriever.breaker.stats()["state_code"],
-                    (("breaker", "retrieval"),),
-                )
-            )
-        families.append(
-            gauge_family(
-                f"{_PREFIX}_breaker_state",
-                "Circuit breaker state (0 closed, 1 half-open, 2 open)",
-                samples=breaker_samples,
-            )
-        )
-        families.append(
-            gauge_family(
-                f"{_PREFIX}_degraded",
-                "1 while any circuit breaker is open or half-open",
-                1.0 if service.degraded else 0.0,
-            )
-        )
-        recovery = service.distiller.recovery_info()
-        executor_stats = recovery.get("executor") or {}
-        families.append(
-            counter_family(
-                f"{_PREFIX}_pool_breaks_total",
-                "Times the worker process pool broke and was respawned",
-                executor_stats.get("pool_breaks", 0),
-            )
-        )
-        families.append(
-            counter_family(
-                f"{_PREFIX}_chunk_retries_total",
-                "Chunks retried successfully after a pool break",
-                executor_stats.get("chunk_retries", 0),
-            )
-        )
-        families.append(
-            gauge_family(
-                f"{_PREFIX}_recovery_seconds",
-                "Duration of the most recent pool respawn-and-retry",
-                executor_stats.get("last_recovery_ms", 0.0) / 1000.0,
-            )
-        )
-        families.append(
-            counter_family(
-                f"{_PREFIX}_degraded_batches_total",
-                "Batches executed serially in the coordinator (breaker open)",
-                recovery.get("degraded_batches", 0),
-            )
-        )
-        families.append(
-            counter_family(
-                f"{_PREFIX}_deadline_expired_total",
-                "Requests failed because their X-Deadline-Ms budget ran out",
-                scheduler.deadline_expired,
-            )
-        )
-        plan = faults_installed()
-        if plan is not None:
-            fired_by_site: dict[str, int] = {}
-            for spec_stats in plan.stats()["specs"]:
-                site = spec_stats["site"]
-                fired_by_site[site] = (
-                    fired_by_site.get(site, 0) + spec_stats["fired"]
-                )
-            fault_samples = [
-                Sample(count, (("site", site),))
-                for site, count in sorted(fired_by_site.items())
-            ]
-            if fault_samples:
-                families.append(
-                    counter_family(
-                        f"{_PREFIX}_faults_injected_total",
-                        "Faults fired by the installed REPRO_FAULTS plan",
-                        samples=fault_samples,
-                    )
-                )
-        # Durable live-corpus plane: document/tombstone counts, WAL size,
-        # compaction generation, and crash-recovery replay counters.
-        ingest = getattr(service, "ingest", None)
-        if ingest is not None:
-            ingest_stats = ingest.stats()
-            families.extend(
-                [
-                    counter_family(
-                        f"{_PREFIX}_ingest_docs_total",
-                        "Live-corpus operations applied, by operation",
-                        samples=[
-                            Sample(
-                                ingest_stats["docs_added"], (("op", "add"),)
-                            ),
-                            Sample(
-                                ingest_stats["docs_deleted"],
-                                (("op", "delete"),),
-                            ),
-                        ],
-                    ),
-                    gauge_family(
-                        f"{_PREFIX}_ingest_live_docs",
-                        "Documents currently live (added minus tombstoned)",
-                        ingest_stats["live_docs"],
-                    ),
-                    gauge_family(
-                        f"{_PREFIX}_ingest_tombstones",
-                        "Deleted doc ids awaiting compaction",
-                        ingest_stats["tombstones"],
-                    ),
-                    gauge_family(
-                        f"{_PREFIX}_ingest_wal_bytes",
-                        "Bytes in the write-ahead log",
-                        ingest_stats["wal_bytes"],
-                    ),
-                    gauge_family(
-                        f"{_PREFIX}_ingest_generation",
-                        "Compaction generation of the active segment",
-                        ingest_stats["generation"],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_ingest_compactions_total",
-                        "WAL-into-segment compactions completed",
-                        ingest_stats["compactions"],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_ingest_replayed_records_total",
-                        "WAL records re-applied during crash recovery",
-                        ingest_stats["replayed_records"],
-                    ),
-                    counter_family(
-                        f"{_PREFIX}_ingest_torn_bytes_total",
-                        "Torn-tail bytes truncated from WALs on recovery",
-                        ingest_stats["torn_bytes"],
-                    ),
-                ]
-            )
-        snapshot = service.distiller.snapshot_info()
-        if snapshot is not None:
-            families.append(
-                gauge_family(
-                    f"{_PREFIX}_snapshot_bytes",
-                    "Pipeline snapshot segment size",
-                    snapshot["bytes"],
-                )
-            )
-            hydration = snapshot["hydration"]
-            families.append(
-                counter_family(
-                    f"{_PREFIX}_snapshot_hydration_total",
-                    "Worker lazy-hydration lookups, by outcome",
-                    samples=[
-                        Sample(hydration["hits"], (("outcome", "hit"),)),
-                        Sample(hydration["misses"], (("outcome", "miss"),)),
-                    ],
-                )
-            )
-        return families

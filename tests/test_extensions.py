@@ -128,6 +128,14 @@ class TestBatchDistiller:
         assert stats.n_distilled == 1
         assert stats.n_cache_hits == 1
 
+    def test_mean_reduction_equals_mean_over_results(self, gced):
+        batch = BatchDistiller(gced)
+        results = batch.distill_many(QA_CASES)
+        assert len(set(QA_CASES)) == len(results) > 1
+        assert batch.stats().mean_reduction == sum(
+            r.reduction for r in results
+        ) / len(results)
+
     def test_stats_summary(self, gced):
         batch = BatchDistiller(gced)
         batch.distill_one(*[QA_CASES[1][i] for i in (0, 1, 2)])

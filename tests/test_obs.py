@@ -13,7 +13,9 @@ from __future__ import annotations
 import io
 import json
 import logging
+import pathlib
 import pickle
+import re
 import threading
 import time
 import types
@@ -24,6 +26,7 @@ import pytest
 from repro import GCED
 from repro.core import BatchDistiller
 from repro.engine.instrumentation import StageTiming
+from repro.faults import FaultPlan, FaultSpec, injected
 from repro.obs import (
     Counter,
     Gauge,
@@ -39,7 +42,8 @@ from repro.obs import (
 from repro.obs import trace as obs_trace
 from repro.obs.logs import RateLimitFilter
 from repro.obs.metrics import (
-    counter_family,
+    MetricFamily,
+    Sample,
     lint_exposition,
     parse_exposition,
     sample_value,
@@ -52,7 +56,11 @@ from repro.service import (
     start_server,
 )
 from repro.service.scheduler import MicroBatchScheduler
-from repro.service.telemetry import ServiceTelemetry
+from repro.service.telemetry import (
+    STATS_FAMILIES,
+    ServiceTelemetry,
+    project_stats,
+)
 from repro.utils.timing import Timer
 from tests.conftest import CORPUS, QA_CASES
 
@@ -268,7 +276,9 @@ class TestMetricsRegistry:
     def test_callback_families_rendered(self):
         registry = MetricsRegistry()
         registry.register_callback(
-            lambda: [counter_family("cb_events_total", "Events", 4)]
+            lambda: [
+                MetricFamily("cb_events_total", "counter", "Events", [Sample(4)])
+            ]
         )
         families = parse_exposition(registry.render())
         assert sample_value(families, "cb_events_total") == 4
@@ -671,3 +681,112 @@ class TestHTTPTelemetry:
             service.distill(*QA_CASES[0])
             assert service.telemetry.stats_block()["traces_started"] == 0
             assert len(service.telemetry.slow_ring) == 0
+
+
+# ------------------------------------------------- /stats → /metrics
+
+
+def _at(stats: dict, path: str):
+    for key in path.split("."):
+        stats = stats[key]
+    return stats
+
+
+def _expected(stats: dict, source, labels: tuple):
+    """The value one sample of a ``STATS_FAMILIES`` row must carry."""
+    if isinstance(source, str):
+        assert labels == ()
+        return _at(stats, source)
+    if isinstance(source, dict):
+        ((label, paths),) = source.items()
+        ((name, value),) = labels
+        assert name == label
+        return _at(stats, paths[value])
+    if len(source) == 2:
+        assert labels == ()
+        return _at(stats, source[0]) / source[1]
+    path, label, field = source
+    ((name, value),) = labels
+    assert name == label
+    records = _at(stats, path)
+    if isinstance(records, dict):
+        return records[value][field]
+    return sum(r[field] for r in records if r[label] == value)
+
+
+@pytest.fixture
+def projected_stats(artifacts, tmp_path):
+    """One ``stats()`` snapshot of a service with every optional plane
+    but the snapshot one: a retriever, an ingest dir, a fault plan."""
+    plan = FaultPlan(
+        (
+            FaultSpec(site="executor.map", action="delay"),
+            FaultSpec(site="executor.map", action="delay", every=2),
+            FaultSpec(site="retrieval.search", action="delay"),
+        )
+    )
+    gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+    with injected(plan), DistillService(
+        gced,
+        config=ServiceConfig(max_wait_ms=1, ingest_dir=str(tmp_path)),
+        retriever=CorpusRetriever.build(CORPUS),
+    ) as service:
+        service.distill(*QA_CASES[0])
+        service.ask(*QA_CASES[1][:2], k=2)
+        service.ingest.add_documents(["A paragraph about the river delta."])
+        service.ingest.delete_document(0)
+        yield service.stats()
+
+
+class TestStatsProjection:
+    ROWS = {f"gced_{row[0]}": row for row in STATS_FAMILIES}
+
+    def test_every_sample_is_its_rows_stats_value(self, projected_stats):
+        families = project_stats(projected_stats)
+        assert {f.name for f in families} == set(self.ROWS) - {
+            "gced_snapshot_bytes",
+            "gced_snapshot_hydration_total",
+        }
+        for family in families:
+            name, type_, help_, source = self.ROWS[family.name]
+            assert (family.type, family.help) == (type_, help_)
+            assert family.samples
+            for sample in family.samples:
+                assert sample.value == _expected(
+                    projected_stats, source, sample.labels
+                ), (family.name, sample.labels)
+        by_name = {f.name: f for f in families}
+        fired = by_name["gced_faults_injected_total"].samples
+        assert [s.labels for s in fired] == [
+            (("site", "executor.map"),),
+            (("site", "retrieval.search"),),
+        ]
+        assert all(s.value > 0 for s in fired)
+
+    def test_a_path_through_none_drops_its_samples(self, projected_stats):
+        stats = dict(projected_stats)
+        stats["ingest"] = None
+        stats["faults"] = dict(stats["faults"], retrieval=None, plan=None)
+        stats["snapshot"] = {"bytes": 7, "hydration": {"hits": 1, "misses": 2}}
+        by_name = {f.name: f for f in project_stats(stats)}
+        assert not any(name.startswith("gced_ingest_") for name in by_name)
+        assert "gced_faults_injected_total" not in by_name
+        breakers = by_name["gced_breaker_state"].samples
+        assert [s.labels for s in breakers] == [(("breaker", "process_pool"),)]
+        assert by_name["gced_snapshot_bytes"].samples[0].value == 7
+        hydration = by_name["gced_snapshot_hydration_total"].samples
+        assert [(s.labels, s.value) for s in hydration] == [
+            ((("outcome", "hit"),), 1),
+            ((("outcome", "miss"),), 2),
+        ]
+
+    def test_docs_list_exactly_the_exported_families(self, served_obs):
+        service, _client = served_obs
+        exported = set(parse_exposition(service.telemetry.metrics_text()))
+        direct = exported - set(self.ROWS)
+        assert len(direct) == 5  # registry instruments the HTTP layer feeds
+        docs = pathlib.Path(__file__).parent.parent / "docs/observability.md"
+        section = docs.read_text().split("## /metrics reference")[1]
+        section = section.split("\n## ")[0]
+        documented = set(re.findall(r"^\| `(gced_\w+)", section, re.M))
+        assert documented == set(self.ROWS) | direct

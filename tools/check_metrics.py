@@ -14,10 +14,11 @@ Three input modes::
     curl -s host:8080/metrics | python tools/check_metrics.py -
     python tools/check_metrics.py --sample         # self-contained check
 
-``--sample`` builds a tiny in-process :class:`DistillService`, serves a
-couple of requests through it, renders its live ``/metrics`` exposition,
-and lints that — so CI validates the *real* registry output on every
-run, not a fixture that can drift from the code.
+``--sample`` builds a tiny in-process :class:`DistillService` with a
+live-ingest directory, serves a couple of requests and one ingest
+through it, renders its live ``/metrics`` exposition, and lints that —
+so CI validates the *real* registry output (``gced_ingest_*`` families
+included) on every run, not a fixture that can drift from the code.
 
 Exit 0 when clean; 1 with one line per problem otherwise.
 """
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import tempfile
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -47,8 +49,8 @@ def sample_exposition() -> str:
     """Render live ``/metrics`` text from a tiny exercised service."""
     from repro.service import DistillService
 
-    with DistillService.from_corpus(
-        SAMPLE_CORPUS, corpus_info="check_metrics"
+    with tempfile.TemporaryDirectory() as ingest_dir, DistillService.from_corpus(
+        SAMPLE_CORPUS, corpus_info="check_metrics", ingest_dir=ingest_dir
     ) as service:
         service.distill(
             "Which NFL team won the Super Bowl title?",
@@ -56,6 +58,7 @@ def sample_exposition() -> str:
             SAMPLE_CORPUS[0],
         )
         service.ask("Who won the battle?", "the Rams", k=2)
+        service.ingest.add_documents(["The river flooded the valley in spring."])
         return service.telemetry.metrics_text()
 
 
