@@ -31,7 +31,8 @@ With ``PERF_GATE_MULTICORE=1`` the gate additionally enforces a hard
 floor of 1.3x on ``batch.parallel_speedup`` regardless of the baseline —
 only set it on runners with >= 2 CPUs.  On single-CPU runners (where the
 process backend cannot beat serial) leave it unset and the gate relies
-on ``snapshot.worker_warm_ms`` / ``snapshot.bytes`` instead.
+on ``snapshot.worker_load_ms`` / ``snapshot.bytes`` /
+``snapshot.payload_bytes`` instead.
 
 Absolute wall-clock varies across runner hardware more
 than relative throughput does, so latency baselines must be produced on
@@ -75,7 +76,7 @@ MULTICORE_FLOOR = 1.3
 ABSOLUTE_CEILINGS = {"obs.overhead_pct": 5.0}
 # Context-only payload keys carried into the artifact, keyed by source so
 # two benchmarks reporting latencies never clobber each other.
-CONTEXT_KEYS = ("latency_ms", "query_latency_ms", "cold_first_request_ms")
+CONTEXT_KEYS = ("latency_ms", "query_latency_ms", "full_pickle_bytes")
 
 
 def collect_metrics(results_dir: pathlib.Path) -> tuple[dict, list[str]]:

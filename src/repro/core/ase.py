@@ -60,7 +60,7 @@ class AnswerOrientedSentenceExtractor:
         Span-scoring models expose :meth:`compiled_context`; its artifact
         carries the paragraph's sentence split and per-question sentence
         prediction batches, so repeated ASE runs over the same paragraph
-        (and snapshot-hydrated workers) skip both.
+        skip both.
         """
         factory = getattr(self.qa_model, "compiled_context", None)
         return factory(context) if factory is not None else None

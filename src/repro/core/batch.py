@@ -65,9 +65,9 @@ def _init_worker(gced, handle=None) -> None:
 
     ``gced`` is either the pipeline object (legacy path; inherited under
     fork) or a :func:`~repro.engine.snapshot.dump_for_workers` payload —
-    bytes whose hollow LM/index/caches rehydrate from ``handle``'s
-    snapshot, which is attached and *activated first* so unpickling and
-    every later lazy rehydration can read it.
+    bytes whose hollow LM and index rehydrate from ``handle``'s snapshot
+    (caches arrive empty), which is attached and *activated first* so
+    unpickling and every later lazy rehydration can read it.
     """
     global _WORKER_GCED, _WORKER_INIT
     # Re-read the fault plan in every (re)spawned worker: respawn after a
@@ -146,7 +146,6 @@ def _worker_distill(triple: Triple) -> tuple[DistillationResult, PipelineProfile
         name: cache.snapshot()[:2]
         for name, cache in gced.shared_caches().items()
     }
-    hydration_before = gced.hydration_counts()
     try:
         result = gced.distill(*triple)
     finally:
@@ -163,12 +162,6 @@ def _worker_distill(triple: Triple) -> tuple[DistillationResult, PipelineProfile
                 bytes=snap.bytes,
             )
         )
-    for name, (hits, misses) in gced.hydration_counts().items():
-        hits0, misses0 = hydration_before.get(name, (0, 0))
-        if hits - hits0:
-            delta.count(f"hydration_hits.{name}", hits - hits0)
-        if misses - misses0:
-            delta.count(f"hydration_misses.{name}", misses - misses0)
     return result, delta
 
 
@@ -230,14 +223,12 @@ class BatchDistiller:
             more runs a process pool with a pipeline copy in each worker
             (0 = one per CPU).
         backend: ``"process"``, the only pool kind; other values raise.
-        snapshot: controls the pipeline-snapshot handoff to the process
-            pool.  ``None`` (default) builds one from ``gced``'s warm
-            state (owned: unlinked on :meth:`close`); a
-            :class:`~repro.engine.snapshot.PipelineSnapshot` is used
-            as-is (caller keeps ownership; its fingerprint must match
-            ``gced.config``); ``False`` disables the snapshot plane and
-            ships the full pipeline through the initializer (cold
-            workers, the pre-snapshot behaviour).
+        snapshot: with ``True`` (default) a process pool gets its LM and
+            index tables through a
+            :class:`~repro.engine.snapshot.PipelineSnapshot` the
+            distiller builds from ``gced`` and unlinks on :meth:`close`;
+            ``False`` ships the full pipeline through the initializer
+            instead.
         breaker_failures / breaker_reset_s: circuit-breaker tuning for
             the process pool — after ``breaker_failures`` consecutive
             unrecovered pool breaks, batches run serially in the
@@ -251,7 +242,7 @@ class BatchDistiller:
         cache_size: int = 4096,
         workers: int = 1,
         backend: str = "process",
-        snapshot=None,
+        snapshot: bool = True,
         breaker_failures: int = 3,
         breaker_reset_s: float = 30.0,
     ) -> None:
@@ -262,23 +253,10 @@ class BatchDistiller:
             )
         self.gced = gced
         self._snapshot = None
-        self._owns_snapshot = False
         n_workers = workers if workers > 0 else (os.cpu_count() or 1)
         pool_kwargs = {}
-        if n_workers > 1 and snapshot is not False:
-            if snapshot is None:
-                snap = gced.build_snapshot()
-                self._owns_snapshot = True
-            else:
-                snap = snapshot
-                if snap.fingerprint != gced.config.fingerprint():
-                    raise ValueError(
-                        "stale pipeline snapshot: built under config "
-                        f"fingerprint {snap.fingerprint}, but this "
-                        "pipeline's config fingerprints as "
-                        f"{gced.config.fingerprint()}"
-                    )
-            self._snapshot = snap
+        if n_workers > 1 and snapshot:
+            snap = self._snapshot = gced.build_snapshot()
             from repro.engine.snapshot import dump_for_workers
 
             # Pre-pickled with warm state externalized: the bulky tables
@@ -500,7 +478,7 @@ class BatchDistiller:
 
         The data-plane refresh path (wired to post-compaction by the
         service): builds a new snapshot at ``generation + 1`` from the
-        pipeline's *current* warm state, broadcasts an adopt task to the
+        pipeline's *current* data plane, broadcasts an adopt task to the
         running workers — same pids, no respawn — and points future
         respawns at the new handle.  Serial execution (and snapshot-less
         pools) use the coordinator's objects directly, so there is
@@ -517,13 +495,10 @@ class BatchDistiller:
         report = self.executor.warmup(
             probe=functools.partial(_adopt_handle, fresh.handle)
         )
-        owned = self._owns_snapshot
         self._snapshot = fresh
-        self._owns_snapshot = True
-        if owned:
-            # Safe while stale workers still map it: unlink removes the
-            # name, the memory lives until their mappings close.
-            snap.close(unlink=True)
+        # Safe while stale workers still map it: unlink removes the name,
+        # the memory lives until their mappings close.
+        snap.close(unlink=True)
         workers = [
             info
             for info in report.worker_infos
@@ -550,10 +525,8 @@ class BatchDistiller:
     def snapshot_info(self) -> dict | None:
         """Snapshot-plane observability (None when no snapshot is used).
 
-        Reports build cost and size, the warmup barrier's wall-clock, the
-        per-worker initializer facts collected by the warmup probe, and
-        the aggregate hydration hit rate workers shipped back with their
-        profile deltas.
+        Reports build cost and size, the warmup barrier's wall-clock, and
+        the per-worker initializer facts collected by the warmup probe.
         """
         snap = self._snapshot
         if snap is None:
@@ -562,13 +535,6 @@ class BatchDistiller:
         for info in self._warmup_report.worker_infos:
             if isinstance(info, dict) and "pid" in info:
                 workers[info["pid"]] = info
-        hits = misses = 0
-        for name, value in self._worker_profile.counters.items():
-            if name.startswith("hydration_hits."):
-                hits += int(value)
-            elif name.startswith("hydration_misses."):
-                misses += int(value)
-        lookups = hits + misses
         with self._stats_lock:
             refreshes = self._snapshot_refreshes
             last_refresh = self._last_refresh
@@ -583,11 +549,6 @@ class BatchDistiller:
             "sections": dict(snap.meta.get("sections", {})),
             "warmup_ms": round(self._warmup_report.seconds * 1000.0, 3),
             "workers": sorted(workers.values(), key=lambda w: w["pid"]),
-            "hydration": {
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": hits / lookups if lookups else 0.0,
-            },
         }
 
     def profile(self) -> PipelineProfile:
@@ -634,15 +595,14 @@ class BatchDistiller:
         )
 
     def close(self) -> None:
-        """Shut down the worker pool and release any owned snapshot.
+        """Shut down the worker pool and release the snapshot.
 
         The shared-memory segment is unlinked only after the pool has
-        fully shut down (workers hold mappings until then); snapshots
-        passed in by the caller are left alone.
+        fully shut down (workers hold mappings until then).
         """
         self.executor.close()
         snap, self._snapshot = self._snapshot, None
-        if snap is not None and self._owns_snapshot:
+        if snap is not None:
             snap.close(unlink=True)
 
     def __enter__(self) -> "BatchDistiller":

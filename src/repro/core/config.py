@@ -58,7 +58,7 @@ class GCEDConfig:
         """Stable digest of every knob, for snapshot freshness checks.
 
         A :class:`~repro.engine.snapshot.PipelineSnapshot` built under one
-        config must not hydrate a pipeline running another (ablations
+        config must not be adopted by a pipeline running another (ablations
         change scores); the dataclass ``repr`` covers all fields
         deterministically, so equal configs share a fingerprint.
         """

@@ -36,7 +36,7 @@ from repro.metrics.readability import ReadabilityScorer
 from repro.parsing.dependency import SyntacticParser
 from repro.qa.base import QAModel
 from repro.qa.training import TrainedArtifacts
-from repro.utils.cache import LRUCache, MISSING
+from repro.utils.cache import LRUCache
 
 __all__ = ["GCED", "DistillationResult"]
 
@@ -135,24 +135,10 @@ class GCED:
         self.plan = tuple(plan) if plan is not None else stage_plan(self.config)
         self.stages = (registry or default_registry).build(self.plan)
         self.profile = PipelineProfile()
-        # Cached PipelineSnapshot of this pipeline's warm state (built on
-        # demand by pipeline_snapshot); owns a shared-memory segment, so
-        # it never pickles and is invalidated on config change.
-        self._snapshot = None
         # Generation of the snapshot this pipeline last adopted (worker
-        # side); None until the first adopt.  A newer generation re-wires
-        # the caches *and* refreshes the retrieval index in place.
+        # side); None until the first adopt.  A newer generation
+        # refreshes the retrieval index in place.
         self._adopted_generation = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_snapshot"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_snapshot", None)
-        self.__dict__.setdefault("_adopted_generation", None)
 
     # ------------------------------------------------------------ pipeline
     def make_context(self, question: str, answer: str, context: str) -> StageContext:
@@ -219,23 +205,20 @@ class GCED:
 
     # -------------------------------------------------------- snapshot plane
     def build_snapshot(self, use_shared_memory: bool = True, generation: int = 0):
-        """Serialize this pipeline's warm state into a fresh snapshot.
+        """Serialize this pipeline's read-only tables into a fresh snapshot.
 
         Sections (each present only when it has content): ``lm`` — the
-        trigram LM's flat tables; ``index`` — the retrieval shards'
-        canonical bytes; ``compiled`` — exported compiled-context
-        artifacts; ``sessions`` — warm clip-score entries by session key;
-        ``parse`` — the dependency-parse memo; ``informativeness`` /
-        ``readability`` — the scorers' string-keyed result caches (small
-        floats, but they spare workers the QA predictions and LM walks
-        behind them).  The snapshot is stamped with the config
-        fingerprint so stale hydration is refused.
+        trigram LM's flat tables; ``index`` — the retriever's canonical
+        index bytes.  Caches do not ride the snapshot: workers start them
+        empty, and since distillation is a pure function of the triple a
+        cold cache recomputes exactly what a warm one would have held.
+        The snapshot is stamped with the config fingerprint so workers
+        refuse it under a different config.
         """
-        from repro.engine.snapshot import PipelineSnapshot, pack_entry_map
+        from repro.engine.snapshot import PipelineSnapshot
 
         started = time.perf_counter()
         sections: dict[str, bytes] = {}
-        counts: dict[str, int] = {}
         language_model = self.artifacts.language_model
         if getattr(language_model, "_fitted", False):
             sections["lm"] = language_model.snapshot_bytes()
@@ -243,36 +226,11 @@ class GCED:
             index = getattr(self.retriever, "index", None)
             if index is not None:
                 sections["index"] = index.to_snapshot_bytes()
-        if self.compiler is not None:
-            states = self.compiler.export_states()
-            if states:
-                sections["compiled"] = pack_entry_map(states)
-                counts["compiled"] = len(states)
-        if self.scoring_engine is not None:
-            sessions = self.scoring_engine.export_sessions()
-            if sessions:
-                sections["sessions"] = pack_entry_map(sessions)
-                counts["sessions"] = len(sessions)
-        parse_cache = self.wsptc.parser.parse_cache()
-        if parse_cache is not None:
-            parse_entries = dict(parse_cache.items())
-            if parse_entries:
-                sections["parse"] = pack_entry_map(parse_entries)
-                counts["parse"] = len(parse_entries)
-        for name, cache in (
-            ("informativeness", self.scorer.informativeness._cache),
-            ("readability", self.scorer.readability._cache),
-        ):
-            entries = dict(cache.items())
-            if entries:
-                sections[name] = pack_entry_map(entries)
-                counts[name] = len(entries)
         snapshot = PipelineSnapshot(
             sections,
             fingerprint=self.config.fingerprint(),
             meta={
                 "sections": {name: len(blob) for name, blob in sections.items()},
-                "counts": counts,
             },
             use_shared_memory=use_shared_memory,
             generation=generation,
@@ -282,52 +240,21 @@ class GCED:
         )
         return snapshot
 
-    def pipeline_snapshot(self, refresh: bool = False):
-        """The cached snapshot of this pipeline, (re)built when needed.
-
-        Rebuilds when no snapshot exists, when ``refresh`` is passed, or
-        when the cached one's fingerprint no longer matches the config (a
-        replaced ``config`` invalidates previously serialized state); a
-        stale snapshot is unlinked before the rebuild.
-        """
-        snapshot = self._snapshot
-        fingerprint = self.config.fingerprint()
-        if (
-            snapshot is not None
-            and not refresh
-            and snapshot.fingerprint == fingerprint
-        ):
-            return snapshot
-        generation = 0
-        if snapshot is not None:
-            if snapshot.fingerprint != fingerprint:
-                self.profile.count("snapshot_stale")
-            # A rebuild over the same config is a *refresh* of a changed
-            # data plane (e.g. post-compaction): bump the generation so
-            # live pools can tell the new snapshot from the one they
-            # already adopted.
-            generation = snapshot.generation + 1
-            snapshot.close(unlink=True)
-        self._snapshot = self.build_snapshot(generation=generation)
-        return self._snapshot
-
     def adopt_snapshot(self, snapshot) -> bool:
-        """Wire this pipeline's caches to hydrate read-through from
-        ``snapshot`` (already attached and activated by the caller).
+        """Adopt ``snapshot`` (already attached and activated by the
+        caller) as this pipeline's source of read-only tables.
 
         Refuses — returning False and counting ``snapshot_stale`` —
         when the snapshot was built under a different config fingerprint:
-        ablation switches change scores, so hydrating across configs
-        would smuggle one config's results into another's outputs.
+        ablation switches change scores, so a worker must never serve one
+        config's pipeline from another config's snapshot.
 
         Generations make re-adoption idempotent: adopting the same (or
         an older) generation again is a no-op returning True; adopting a
-        *newer* generation of the same config re-wires the cache loaders
-        and refreshes the retrieval index in place — how a live worker
-        pool picks up a compacted corpus without a respawn.
+        *newer* generation of the same config refreshes the retrieval
+        index in place — how a live worker pool picks up a compacted
+        corpus without a respawn.
         """
-        from repro.engine.snapshot import EntryMap
-
         if snapshot.fingerprint != self.config.fingerprint():
             self.profile.count("snapshot_stale")
             return False
@@ -336,41 +263,7 @@ class GCED:
         if previous is not None and generation <= previous:
             self.profile.count("snapshot_readopt_noop")
             return True
-
-        def entry_map(name: str) -> EntryMap | None:
-            try:
-                blob = snapshot.section(name)
-            except (KeyError, RuntimeError):
-                return None
-            return EntryMap(blob)
-
-        if self.compiler is not None:
-            states = entry_map("compiled")
-            if states is not None:
-                self.compiler.attach_snapshot(
-                    lambda text: states.get(text, MISSING)
-                )
-        if self.scoring_engine is not None:
-            sessions = entry_map("sessions")
-            if sessions is not None:
-                self.scoring_engine.attach_snapshot(
-                    lambda key: sessions.get(key, MISSING)
-                )
-        parse = entry_map("parse")
-        if parse is not None:
-            self.wsptc.parser.ensure_parse_cache().loader = (
-                lambda key: parse.get(key, MISSING)
-            )
-        for name, cache in (
-            ("informativeness", self.scorer.informativeness._cache),
-            ("readability", self.scorer.readability._cache),
-        ):
-            entries = entry_map(name)
-            if entries is not None:
-                cache.loader = (
-                    lambda key, _entries=entries: _entries.get(key, MISSING)
-                )
-        if previous is not None and generation > previous:
+        if previous is not None:
             # A refresh of an already-adopted pipeline: the hollow index
             # bound at spawn may have rehydrated stale postings — rebuild
             # it from the new snapshot's section, preserving identity.
@@ -406,27 +299,6 @@ class GCED:
                 )
         else:
             self.retriever.index = InvertedIndex.from_dict(payload)
-
-    def hydration_counts(self) -> dict[str, tuple[int, int]]:
-        """Per-cache ``(hits, misses)`` of snapshot read-through traffic."""
-        counts: dict[str, tuple[int, int]] = {}
-        if self.compiler is not None:
-            cache = self.compiler.cache
-            counts["compiled_contexts"] = (cache.loader_hits, cache.loader_misses)
-        parse_cache = self.wsptc.parser.parse_cache()
-        if parse_cache is not None:
-            counts["parse"] = (parse_cache.loader_hits, parse_cache.loader_misses)
-        for name, cache in (
-            ("informativeness", self.scorer.informativeness._cache),
-            ("readability", self.scorer.readability._cache),
-        ):
-            counts[name] = (cache.loader_hits, cache.loader_misses)
-        if self.scoring_engine is not None:
-            counts["clip_sessions"] = (
-                self.scoring_engine.snapshot_hits,
-                self.scoring_engine.snapshot_misses,
-            )
-        return counts
 
     # ------------------------------------------------------ instrumentation
     def shared_caches(self) -> dict[str, LRUCache]:

@@ -286,25 +286,6 @@ class CandidateScoringEngine:
         )
         self.terms = TrigramTermCache(scorer.readability.language_model)
         self._content_ids = itertools.count()
-        # Pipeline-snapshot read-through (installed by attach_snapshot):
-        # session_key -> ((nodes, scores, render_text|None), ...) or
-        # MISSING.  Hit/miss counts surface in hydration stats.
-        self._snapshot_lookup = None
-        self.snapshot_hits = 0
-        self.snapshot_misses = 0
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # The lookup closes over the parent's snapshot reader; workers
-        # re-attach their own through GCED.adopt_snapshot.
-        state["_snapshot_lookup"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_snapshot_lookup", None)
-        self.__dict__.setdefault("snapshot_hits", 0)
-        self.__dict__.setdefault("snapshot_misses", 0)
 
     def session(
         self, tree: DependencyTree, question: str, answer: str
@@ -314,10 +295,7 @@ class CandidateScoringEngine:
         Keyed on ``(question, answer, tree tokens)`` — everything a score
         depends on.  An evicted-and-rebuilt session gets a fresh
         ``content_id``, orphaning (never corrupting) its old node-set
-        entries, which age out of the LRU naturally.  Session misses
-        consult the attached pipeline snapshot (if any) and bulk-load the
-        parent's node-set scores under the fresh content id, so a
-        worker's first clip search over known content starts warm.
+        entries, which age out of the LRU naturally.
         """
         key = (question, answer, tuple(tree.tokens))
         session = self.sessions.get(key, MISSING)
@@ -326,50 +304,4 @@ class CandidateScoringEngine:
                 self, tree, question, answer, next(self._content_ids)
             )
             self.sessions.put(key, session)
-            lookup = self._snapshot_lookup
-            if lookup is not None:
-                entries = lookup(key)
-                if entries is not MISSING and entries:
-                    self.snapshot_hits += 1
-                    readability = self.scorer.readability
-                    for nodes, scores, text in entries:
-                        self.cache.put((session.content_id, nodes), scores)
-                        if text is not None:
-                            # Keep the finalize stage's direct re-score
-                            # on the engine-computed value, exactly as if
-                            # this process had scored the miss itself.
-                            readability.seed(text, scores.readability)
-                else:
-                    self.snapshot_misses += 1
         return session
-
-    # -------------------------------------------------------- snapshot plane
-    def export_sessions(self) -> dict:
-        """Warm per-session score entries, keyed for the snapshot plane.
-
-        ``content_id`` is process-local, so entries re-key by the stable
-        session key ``(question, answer, tree tokens)``; each carries its
-        node set, final scores, and (when the render memo still holds it)
-        the rendered text used to seed the readability cache on import.
-        """
-        by_content: dict[int, list] = {}
-        for (content_id, nodes), scores in self.cache.items():
-            by_content.setdefault(content_id, []).append((nodes, scores))
-        exported: dict = {}
-        for key, session in self.sessions.items():
-            entries = by_content.get(session.content_id)
-            if not entries:
-                continue
-            exported[key] = tuple(
-                (nodes, scores, session._renders.get(nodes))
-                for nodes, scores in entries
-            )
-        return exported
-
-    def attach_snapshot(self, lookup) -> None:
-        """Install the snapshot read-through consulted on session misses.
-
-        ``lookup(session_key)`` returns :meth:`export_sessions`-shaped
-        entries or ``MISSING``.
-        """
-        self._snapshot_lookup = lookup

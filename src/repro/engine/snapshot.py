@@ -1,33 +1,31 @@
 """Read-only pipeline snapshot plane for multi-process scaling.
 
-Process-pool workers used to start cold: each one re-derived the parent's
-warm state — compiled paragraph artifacts, trigram LM tables, parse
-memos, retrieval postings — from scratch, duplicating both the compute
-and the memory N ways.  A :class:`PipelineSnapshot` serializes that warm
-state *once* in the parent as named byte sections, places them in a
-single :mod:`multiprocessing.shared_memory` segment (N workers map one
-copy; pickled inline as a fallback when shared memory is unavailable),
-and hands workers a small picklable :class:`SnapshotHandle` through the
-pool initializer.  Workers hydrate lazily from the snapshot into their
-local caches — read-through, never write-back — so their first request
-hits warm artifacts instead of recompiling.
+Process-pool workers need the parent's bulky read-only tables — the
+trigram LM counts and the retrieval postings — and pickling a copy of
+them into every worker's initializer payload duplicates both the
+transfer and the memory N ways.  A :class:`PipelineSnapshot` serializes
+those tables *once* in the parent as named byte sections, places them
+in a single :mod:`multiprocessing.shared_memory` segment (N workers map
+one copy; pickled inline as a fallback when shared memory is
+unavailable), and hands workers a small picklable
+:class:`SnapshotHandle` through the pool initializer.  Worker caches
+start empty: distillation is a pure function of the triple, so a cold
+cache recomputes exactly what a warm one would have held.
 
-Three cooperating pieces live here:
+Two cooperating pieces live here:
 
 * **Externalized pickling** — :func:`dump_for_workers` pickles an object
   graph under a thread-local flag that snapshot-aware classes
   (:class:`~repro.lm.ngram.NGramLanguageModel`,
   :class:`~repro.retrieval.index.InvertedIndex`,
   :class:`~repro.utils.cache.LRUCache`) consult in ``__getstate__`` to
-  drop their bulky tables from the payload; the dropped state rides the
-  shared segment instead and re-attaches on first use.
+  drop their bulky tables from the payload; the LM and index state
+  rides the shared segment instead and re-attaches on first use, and
+  caches pickle empty.
 * **The active-snapshot registry** — one process-global snapshot,
   installed by the worker initializer via :func:`activate`, that hollow
   objects read their sections back from
   (:func:`load_active_section`).
-* **Entry maps** — :func:`pack_entry_map` / :class:`EntryMap`, a
-  two-level pickle (outer key table, per-entry payloads) so workers
-  deserialize only the cache entries their traffic actually touches.
 
 Everything here is stdlib-only and import-cycle safe: lower layers
 (``utils``, ``lm``, ``retrieval``) import this module lazily inside
@@ -43,14 +41,12 @@ import pickle
 import secrets
 import signal
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
 from repro.faults import fault_point
 
 __all__ = [
-    "EntryMap",
     "PipelineSnapshot",
     "SnapshotHandle",
     "activate",
@@ -60,7 +56,6 @@ __all__ = [
     "externalize_warm_state",
     "externalizing",
     "load_active_section",
-    "pack_entry_map",
 ]
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
@@ -73,8 +68,9 @@ _EXTERNALIZE = threading.local()
 @contextlib.contextmanager
 def externalize_warm_state() -> Iterator[None]:
     """While active (per thread), snapshot-aware ``__getstate__`` methods
-    drop their warm tables from pickles, leaving hollow shells that
-    rehydrate from the active snapshot.  Re-entrant."""
+    drop their bulky tables from pickles: the LM and index leave hollow
+    shells that rehydrate from the active snapshot, caches pickle empty.
+    Re-entrant."""
     _EXTERNALIZE.depth = getattr(_EXTERNALIZE, "depth", 0) + 1
     try:
         yield
@@ -374,51 +370,3 @@ def load_active_section(name: str) -> bytes | None:
         return snapshot.section(name)
     except (KeyError, RuntimeError):
         return None
-
-
-# ------------------------------------------------------------- entry maps
-
-
-def pack_entry_map(entries: Mapping[Any, Any]) -> bytes:
-    """Pack a cache-export mapping as a two-level pickle.
-
-    The outer pickle carries the key table and per-entry *byte strings*;
-    an attached :class:`EntryMap` unpickles individual entries on demand,
-    so a worker deserializes only what its traffic touches.  Entries that
-    fail to pickle are dropped (snapshots are best-effort accelerators,
-    never correctness carriers).
-    """
-    packed: dict[Any, bytes] = {}
-    for key, value in entries.items():
-        try:
-            packed[key] = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
-        except Exception:
-            continue
-    return pickle.dumps(packed, protocol=_PICKLE_PROTOCOL)
-
-
-class EntryMap:
-    """Lazy reader over a :func:`pack_entry_map` blob."""
-
-    def __init__(self, blob: bytes) -> None:
-        self._entries: dict[Any, bytes] = pickle.loads(blob)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
-    def keys(self):
-        return self._entries.keys()
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        raw = self._entries.get(key)
-        if raw is None:
-            return default
-        return pickle.loads(raw)
-
-
-def timed_ms(started: float) -> float:
-    """Milliseconds elapsed since ``started`` (a ``perf_counter`` value)."""
-    return round((time.perf_counter() - started) * 1000.0, 3)

@@ -12,7 +12,7 @@ from repro.parsing.cky import CKYParser
 from repro.parsing.heads import lexicalize
 from repro.parsing.pos import PosTagger
 from repro.parsing.tree import DependencyTree, ParseNode
-from repro.utils.cache import LRUCache, memoize_method
+from repro.utils.cache import memoize_method
 
 __all__ = ["constituency_to_dependency", "SyntacticParser"]
 
@@ -94,17 +94,3 @@ class SyntacticParser:
         for directly.
         """
         return getattr(self, "_memo__parse_cached", None)
-
-    def ensure_parse_cache(self) -> LRUCache:
-        """The memo cache behind :meth:`parse`, created if absent.
-
-        The snapshot plane installs its read-through loader here before
-        the first parse, so even a worker's very first tree can hydrate
-        from the parent's memo instead of running CKY.  Mirrors
-        ``memoize_method``'s own layout (same attribute, same capacity).
-        """
-        cache = self.parse_cache()
-        if cache is None:
-            cache = LRUCache(capacity=4096)
-            self._memo__parse_cached = cache
-        return cache

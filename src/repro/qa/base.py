@@ -387,8 +387,8 @@ class SpanScoringQA(QAModel):
     def predict(self, question: str, context: str) -> AnswerPrediction:
         # The final prediction is a pure function of (trained model,
         # question, context), so the compiled context memoizes it whole:
-        # ASE's subset loop and hydrated snapshot workers repeat the same
-        # (question, text) pairs, and a memo hit skips span scoring.
+        # ASE's subset loop repeats the same (question, text) pairs, and
+        # a memo hit skips span scoring.
         compiled = self.compiled_context(context)
         if compiled is not None:
             return compiled.prediction(

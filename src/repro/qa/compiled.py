@@ -22,20 +22,11 @@ owning cache (see :meth:`CompiledContext.bind_accounting` /
 :meth:`repro.utils.cache.LRUCache.reaccount`), so the compiler's byte
 budget is an invariant over the measured footprint — not a guess taken
 at insert time.
-
-Snapshot contract: compiled artifacts :meth:`export_state` /
-:meth:`import_state` across process boundaries for the pipeline snapshot
-plane (:mod:`repro.engine.snapshot`).  Preps are re-keyed from the
-process-local ``prep_key`` to the owning model's stable ``name`` on
-export, and imported states hydrate workers' caches read-through — a
-worker's first prediction against a known paragraph reuses the parent's
-tables instead of recompiling.
 """
 
 from __future__ import annotations
 
 import contextlib
-import pickle
 import threading
 
 from repro.qa.answer_types import AnswerType, candidate_spans
@@ -84,12 +75,6 @@ class CompiledContext:
         # question-independent derived values (e.g. embedding matrices).
         self._preps: dict = {}
         self._derived: dict = {}
-        # prep_key -> model.name, so preps can be re-keyed stably when the
-        # artifact is exported across a process boundary.
-        self._prep_names: dict[int, str | None] = {}
-        # (model name, question terms) -> prep, imported from a snapshot;
-        # consulted on prep misses, promoted into _preps on first use.
-        self._imported_preps: dict = {}
         # ASE-level artifacts: the paragraph's sentence split and the
         # per-question single-sentence prediction batches.
         self._sentences: tuple[Sentence, ...] | None = None
@@ -97,8 +82,7 @@ class CompiledContext:
         # (model name, question) -> final AnswerPrediction.  Predictions
         # are pure functions of (trained model, question, text), so the
         # whole result memoizes — ASE's subset loop re-asks the same
-        # question of the same joined text constantly, and hydrated
-        # workers skip span scoring entirely on known pairs.
+        # question of the same joined text constantly.
         self._predictions: dict = {}
         # Owning-cache notification, installed by bind_accounting();
         # called after every lazy fill so byte accounting stays measured.
@@ -176,8 +160,7 @@ class CompiledContext:
         """``split_sentences(text)``, computed once per paragraph.
 
         ASE's subset search re-splits the same paragraph for every
-        question; the compiled split serves them all (and rides the
-        snapshot to workers).
+        question; the compiled split serves them all.
         """
         sents = self._sentences
         if sents is None:
@@ -205,9 +188,9 @@ class CompiledContext:
         """The model's final prediction for ``question``, memoized.
 
         ``factory`` runs the real span scoring at most once per (model
-        name, question); the table is bounded like the prep table and
-        rides the snapshot, so a worker's first predict over a known
-        (question, paragraph) pair is a dictionary lookup.
+        name, question); the table is bounded like the prep table, so a
+        repeat predict over a known (question, paragraph) pair is a
+        dictionary lookup.
         """
         key = (name, question)
         pred = self._predictions.get(key, MISSING)
@@ -225,21 +208,15 @@ class CompiledContext:
 
         Preps are pure functions of (model, question terms, tokens) —
         answer type never enters span scoring — so one table serves every
-        re-ask of the same question against this paragraph.  A miss first
-        consults preps imported from a pipeline snapshot (keyed by the
-        model's stable ``name``) before paying the derivation.
+        re-ask of the same question against this paragraph.
         """
         key = (model.prep_key, profile.terms)
         prep = self._preps.get(key, MISSING)
         if prep is MISSING:
             if len(self._preps) > _MAX_PREPS:
                 self._preps.clear()
-            name = getattr(model, "name", None)
-            prep = self._imported_preps.get((name, profile.terms), MISSING)
-            if prep is MISSING:
-                prep = model.span_prep(profile, self.tokens, compiled=self)
+            prep = model.span_prep(profile, self.tokens, compiled=self)
             self._preps[key] = prep
-            self._prep_names[key[0]] = name
             self._grown()
         return prep
 
@@ -252,84 +229,6 @@ class CompiledContext:
             self._derived[key] = value
             self._grown()
         return value
-
-    # -------------------------------------------------------- snapshot plane
-    def export_state(self) -> dict:
-        """A picklable state dict for the pipeline snapshot plane.
-
-        Span sets export as sorted lists (frozenset pickles are
-        iteration-order dependent) and preps re-key from the
-        process-local ``prep_key`` to the owning model's stable name;
-        preps that fail to pickle are dropped (the worker re-derives
-        them).  Derived slots are skipped — their keys embed process-
-        local identities and their values rebuild from exported preps.
-        Export→import→export is byte-identical, which the snapshot tests
-        assert.
-        """
-        preps: dict = {}
-        preps.update(self._imported_preps)
-        for (prep_key, terms), value in self._preps.items():
-            name = self._prep_names.get(prep_key)
-            if name is not None:
-                preps[(name, terms)] = value
-        safe_preps: dict = {}
-        for key, value in preps.items():
-            if _picklable(value):
-                safe_preps[key] = value
-        return {
-            "text": self.text,
-            "tokens": list(self.tokens),
-            "sentence_bounds": self._sentence_bounds,
-            "tags": self._tags,
-            "span_kinds": {
-                kind: sorted(spans)
-                for kind, spans in sorted(self._span_kinds.items())
-            },
-            "sentences": self._sentences,
-            "sentence_preds": {
-                question: preds
-                for question, preds in self._sentence_preds.items()
-                if _picklable(preds)
-            },
-            "predictions": {
-                key: pred
-                for key, pred in self._predictions.items()
-                if _picklable(pred)
-            },
-            "preps": safe_preps,
-        }
-
-    @classmethod
-    def import_state(cls, state: dict) -> "CompiledContext":
-        """Rebuild a compiled artifact from :meth:`export_state` output."""
-        compiled = cls.__new__(cls)
-        compiled.text = state["text"]
-        compiled.tokens = list(state["tokens"])
-        compiled._sentence_bounds = state["sentence_bounds"]
-        compiled._tags = state["tags"]
-        compiled._span_kinds = {
-            kind: frozenset(tuple(span) for span in spans)
-            for kind, spans in state["span_kinds"].items()
-        }
-        compiled._span_sets = {}
-        compiled._preps = {}
-        compiled._derived = {}
-        compiled._prep_names = {}
-        compiled._imported_preps = dict(state["preps"])
-        sentences = state["sentences"]
-        compiled._sentences = tuple(sentences) if sentences is not None else None
-        compiled._sentence_preds = dict(state["sentence_preds"])
-        compiled._predictions = dict(state["predictions"])
-        compiled._accounting = None
-        return compiled
-
-
-def _picklable(value) -> bool:
-    try:
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return False
-    return True
 
 
 def _opaque_bytes(value, depth: int = 0) -> int:
@@ -393,8 +292,6 @@ def estimate_compiled_bytes(compiled: CompiledContext) -> int:
     for (name, question), pred in compiled._predictions.items():
         total += 56 + len(name or "") + len(question) + 112 + len(pred.text)
     for prep in compiled._preps.values():
-        total += 96 + _opaque_bytes(prep)
-    for key, prep in compiled._imported_preps.items():
         total += 96 + _opaque_bytes(prep)
     for value in compiled._derived.values():
         total += 96 + _opaque_bytes(value)
@@ -496,37 +393,6 @@ class ContextCompiler:
             self.cache.put(context, compiled)
             compiled.bind_accounting(self.cache, context)
         return compiled
-
-    # -------------------------------------------------------- snapshot plane
-    def export_states(self) -> dict[str, dict]:
-        """Exported states of every cached paragraph artifact, by text."""
-        states: dict[str, dict] = {}
-        for text, compiled in self.cache.items():
-            try:
-                states[text] = compiled.export_state()
-            except Exception:
-                continue
-        return states
-
-    def attach_snapshot(self, lookup) -> None:
-        """Install a read-through loader hydrating from snapshot states.
-
-        ``lookup(text)`` returns an :meth:`CompiledContext.export_state`
-        dict or ``MISSING``.  Hydrated artifacts enter the main cache
-        with accounting bound, exactly like locally-compiled ones;
-        hydration traffic shows up as the cache's ``loader_hits`` /
-        ``loader_misses``.
-        """
-
-        def loader(text):
-            state = lookup(text)
-            if state is MISSING:
-                return MISSING
-            compiled = CompiledContext.import_state(state)
-            compiled.bind_accounting(self.cache, text)
-            return compiled
-
-        self.cache.loader = loader
 
     def snapshot(self):
         """Hit/miss/size/bytes counters of the main (paragraph) LRU."""

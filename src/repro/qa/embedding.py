@@ -13,6 +13,7 @@ import numpy as np
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.qa.base import QuestionProfile, SpanScoringQA
 from repro.text.tokenizer import Token
+from repro.utils.cache import memoize_method
 
 __all__ = ["EmbeddingQA"]
 
@@ -32,18 +33,15 @@ class EmbeddingQA(SpanScoringQA):
             raise ValueError("embeddings must be fitted before use")
         self.embeddings = embeddings
         self.window = window
-        self._question_cache: dict[str, np.ndarray] = {}
 
     def _mean_vector(self, words: list[str]) -> np.ndarray:
         if not words:
             return np.zeros(self.embeddings.dim)
         return self.embeddings.matrix(words).mean(axis=0)
 
+    @memoize_method(maxsize=512)
     def _question_vector(self, terms: tuple[str, ...]) -> np.ndarray:
-        key = " ".join(terms)
-        if key not in self._question_cache:
-            self._question_cache[key] = self._mean_vector(list(terms))
-        return self._question_cache[key]
+        return self._mean_vector(list(terms))
 
     def score_span(
         self,

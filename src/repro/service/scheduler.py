@@ -235,9 +235,9 @@ class MicroBatchScheduler:
         self._coalesced = 0
         self._shed = 0
         self._flushed = 0
+        self._batches = 0
         self._deadline_expired = 0
         self._ewma_batch_s = 0.0
-        self.batch_sizes: list[int] = []
         # Optional telemetry hook: called after every flush (outside the
         # lock) as ``on_batch(seconds, size, reason, ok)``.
         self.on_batch = None
@@ -597,7 +597,7 @@ class MicroBatchScheduler:
             self._completed += completed
             self._failed += failed
             self._flushed += len(batch)
-            self.batch_sizes.append(len(batch))
+            self._batches += 1
             if batch_ok:
                 # Only successful batches inform the Retry-After hint: a
                 # failed batch's duration includes the serial per-request
@@ -625,7 +625,7 @@ class MicroBatchScheduler:
                 submitted=self._submitted,
                 completed=self._completed,
                 failed=self._failed,
-                batches=len(self.batch_sizes),
+                batches=self._batches,
                 size_flushes=self._size_flushes,
                 timeout_flushes=self._timeout_flushes,
                 coalesced=self._coalesced,

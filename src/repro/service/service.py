@@ -764,7 +764,7 @@ class DistillService:
             },
             # Pipeline-snapshot plane (None unless the distiller runs
             # snapshot-spawned process workers): build cost, segment
-            # size, per-worker load times, and hydration hit rate.
+            # size, and per-worker load times.
             "snapshot": self.distiller.snapshot_info(),
             # Durable live-corpus plane (None without ingest_dir): WAL
             # bytes, tombstones, compaction generation, replay counters.

@@ -264,17 +264,6 @@ STATS_FAMILIES = (
     ),
     # Pipeline-snapshot plane.
     ("snapshot_bytes", "gauge", "Pipeline snapshot segment size", "snapshot.bytes"),
-    (
-        "snapshot_hydration_total",
-        "counter",
-        "Worker lazy-hydration lookups, by outcome",
-        {
-            "outcome": {
-                "hit": "snapshot.hydration.hits",
-                "miss": "snapshot.hydration.misses",
-            }
-        },
-    ),
 )
 
 

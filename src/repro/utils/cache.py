@@ -72,13 +72,10 @@ class LRUCache:
     that rejects its own inserts would silently degrade to a 0% hit
     rate).
 
-    A cache may also carry a read-through ``loader`` (installed after
-    construction, e.g. by the pipeline-snapshot plane): on a :meth:`get`
-    miss the loader is consulted with the key and, when it yields a value
-    (anything but ``MISSING``), the value is inserted and returned.
-    Loader traffic is counted separately (``loader_hits`` /
-    ``loader_misses``) so hit rates keep measuring real cache behaviour.
-    Loaders never pickle with the cache.
+    Pickled for a process-pool worker payload (under
+    :func:`~repro.engine.snapshot.dump_for_workers`), a cache travels as
+    an empty shell: workers start cold and fill it from their own
+    traffic.
 
     >>> cache = LRUCache(capacity=2)
     >>> cache.put("a", 1); cache.put("b", 2); cache.put("c", 3)
@@ -110,40 +107,26 @@ class LRUCache:
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.loader: Callable[[Hashable], Any] | None = None
-        self.loader_hits = 0
-        self.loader_misses = 0
         self._lock = threading.RLock()
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
-        # Loaders close over process-local resources (snapshot segments)
-        # and never travel; the receiving process re-attaches its own.
-        state["loader"] = None
         from repro.engine.snapshot import externalizing
 
         if externalizing():
-            # Snapshot-plane pickling: the warm entries ride the shared
-            # snapshot segment instead of the payload, so the pickled
-            # cache is an empty shell that rehydrates read-through.
+            # Worker-payload pickling: the entries stay behind, so the
+            # pickled cache is an empty shell the worker fills itself.
             state["_data"] = OrderedDict()
             if state["_sizes"] is not None:
                 state["_sizes"] = {}
             state["_bytes"] = 0
             state["hits"] = 0
             state["misses"] = 0
-            state["loader_hits"] = 0
-            state["loader_misses"] = 0
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Pickles from before the read-through loader existed lack the
-        # loader fields; default them so hydration wiring stays optional.
-        self.__dict__.setdefault("loader", None)
-        self.__dict__.setdefault("loader_hits", 0)
-        self.__dict__.setdefault("loader_misses", 0)
         self._lock = threading.RLock()
 
     def __len__(self) -> int:
@@ -158,10 +141,7 @@ class LRUCache:
         """Return the cached value, refreshing its recency, or ``default``.
 
         Pass ``default=MISSING`` to tell a cached ``None`` (a hit) apart
-        from an absent key (a miss).  Misses consult the read-through
-        ``loader`` (if installed) before giving up; the lock is released
-        around the loader call, so a slow load never blocks other
-        threads' lookups.
+        from an absent key (a miss).
         """
         with self._lock:
             value = self._data.get(key, MISSING)
@@ -170,16 +150,6 @@ class LRUCache:
                 self._data.move_to_end(key)
                 return value
             self.misses += 1
-            loader = self.loader
-        if loader is not None:
-            loaded = loader(key)
-            if loaded is not MISSING:
-                with self._lock:
-                    self.loader_hits += 1
-                self.put(key, loaded)
-                return loaded
-            with self._lock:
-                self.loader_misses += 1
         return default
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
@@ -218,8 +188,8 @@ class LRUCache:
     def items(self) -> list[tuple[Hashable, Any]]:
         """A point-in-time list of ``(key, value)`` pairs, LRU-first.
 
-        Taken under the lock (safe against concurrent mutation); used by
-        the snapshot plane to export warm entries without recency churn.
+        Taken under the lock (safe against concurrent mutation) and
+        without recency churn, so inspecting a cache never reorders it.
         """
         with self._lock:
             return list(self._data.items())
@@ -278,8 +248,6 @@ class LRUCache:
             self._bytes = 0
             self.hits = 0
             self.misses = 0
-            self.loader_hits = 0
-            self.loader_misses = 0
 
 
 def memoize_method(maxsize: int = 1024) -> Callable:

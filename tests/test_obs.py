@@ -745,7 +745,6 @@ class TestStatsProjection:
         families = project_stats(projected_stats)
         assert {f.name for f in families} == set(self.ROWS) - {
             "gced_snapshot_bytes",
-            "gced_snapshot_hydration_total",
         }
         for family in families:
             name, type_, help_, source = self.ROWS[family.name]
@@ -767,18 +766,13 @@ class TestStatsProjection:
         stats = dict(projected_stats)
         stats["ingest"] = None
         stats["faults"] = dict(stats["faults"], retrieval=None, plan=None)
-        stats["snapshot"] = {"bytes": 7, "hydration": {"hits": 1, "misses": 2}}
+        stats["snapshot"] = {"bytes": 7}
         by_name = {f.name: f for f in project_stats(stats)}
         assert not any(name.startswith("gced_ingest_") for name in by_name)
         assert "gced_faults_injected_total" not in by_name
         breakers = by_name["gced_breaker_state"].samples
         assert [s.labels for s in breakers] == [(("breaker", "process_pool"),)]
         assert by_name["gced_snapshot_bytes"].samples[0].value == 7
-        hydration = by_name["gced_snapshot_hydration_total"].samples
-        assert [(s.labels, s.value) for s in hydration] == [
-            ((("outcome", "hit"),), 1),
-            ((("outcome", "miss"),), 2),
-        ]
 
     def test_docs_list_exactly_the_exported_families(self, served_obs):
         service, _client = served_obs

@@ -1,7 +1,12 @@
 """Unit tests for the QA substrate: typing, scorers, ensemble, registry."""
 
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.engine.snapshot import dump_for_workers
+from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.qa import (
     AnswerType,
     EnsembleQA,
@@ -11,6 +16,7 @@ from repro.qa import (
     candidate_spans,
 )
 from repro.qa.base import AnswerPrediction
+from repro.qa.embedding import EmbeddingQA
 from repro.qa.registry import (
     SQUAD_BASELINES,
     TRIVIAQA_BASELINES,
@@ -127,6 +133,27 @@ class TestReaders:
             EnsembleQA([])
         with pytest.raises(ValueError):
             EnsembleQA([(LexicalOverlapQA(), -1.0)])
+
+
+class TestEmbeddingQuestionMemo:
+    def test_question_vectors_are_bounded_and_exact(self):
+        embeddings = CooccurrenceEmbeddings(dim=8).fit(
+            [sentence.split() for sentence in CORPUS]
+        )
+        qa = EmbeddingQA(embeddings)
+        words = sorted(embeddings._index)
+        term_tuples = [
+            (words[i % len(words)], words[(7 * i + 3) % len(words)], f"q{i}")
+            for i in range(600)
+        ]
+        for terms in term_tuples:
+            assert np.array_equal(
+                qa._question_vector(terms), qa._mean_vector(list(terms))
+            )
+        memo = qa._memo__question_vector
+        assert len(memo) <= 512
+        # Worker payloads carry the memo empty, like every other cache.
+        assert len(pickle.loads(dump_for_workers(qa))._memo__question_vector) == 0
 
 
 class TestSimulatedBaseline:

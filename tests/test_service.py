@@ -80,7 +80,7 @@ class TestMicroBatchScheduler:
         assert stats.batches == 1
         assert stats.size_flushes == 1
         assert stats.timeout_flushes == 0
-        assert sched.batch_sizes == [3]
+        assert stats.flushed == 3
 
     def test_flush_on_timeout(self):
         stub = StubDistiller()
@@ -97,7 +97,7 @@ class TestMicroBatchScheduler:
         assert stats.batches == 1
         assert stats.timeout_flushes == 1
         assert stats.size_flushes == 0
-        assert sched.batch_sizes == [2]
+        assert stats.flushed == 2
 
     def test_immediate_flush_when_wait_zero(self):
         stub = StubDistiller()

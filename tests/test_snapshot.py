@@ -3,9 +3,10 @@
 Covers the contracts the snapshot plane (:mod:`repro.engine.snapshot`)
 states: save→load→save byte identity for every serialized section,
 process-backend distillation byte-identical with the snapshot on or off,
-no leaked ``/dev/shm`` segments (including after a worker crash), stale
-snapshots refused on config change, and the byte-accurate accounting of
-lazily-growing compiled artifacts.
+a snapshot that carries only the LM and index, no leaked ``/dev/shm``
+segments (including after a worker crash), stale snapshots refused on
+config change, and the byte-accurate accounting of lazily-growing
+compiled artifacts.
 """
 
 from __future__ import annotations
@@ -22,18 +23,16 @@ from repro.core.batch import BatchDistiller
 from repro.core.config import GCEDConfig
 from repro.engine.executor import ParallelExecutor
 from repro.engine.snapshot import (
-    EntryMap,
     PipelineSnapshot,
     activate,
     deactivate,
     dump_for_workers,
     load_active_section,
-    pack_entry_map,
 )
 from repro.lm.ngram import FlatNGramTables, NGramLanguageModel
-from repro.qa.compiled import CompiledContext, ContextCompiler, estimate_compiled_bytes
+from repro.qa.compiled import ContextCompiler, estimate_compiled_bytes
 from repro.retrieval.index import InvertedIndex
-from repro.utils.cache import LRUCache, MISSING
+from repro.utils.cache import LRUCache
 
 from tests.conftest import CORPUS, QA_CASES
 
@@ -101,13 +100,6 @@ class TestPipelineSnapshot:
         assert load_active_section("lm") is None
         deactivate()
 
-    def test_entry_map_drops_unpicklable(self):
-        blob = pack_entry_map({"good": 1, "bad": lambda: None})
-        entries = EntryMap(blob)
-        assert len(entries) == 1
-        assert entries.get("good") == 1
-        assert entries.get("bad", MISSING) is MISSING
-
 
 # ----------------------------------------------------------- section identity
 
@@ -147,25 +139,6 @@ class TestSectionByteIdentity:
         assert loaded.to_snapshot_bytes() == first
         assert loaded.postings("the") == index.postings("the")
 
-    def test_compiled_export_import_export(self, artifacts):
-        reader = artifacts.reader
-        compiler = ContextCompiler()
-        saved, reader.context_compiler = reader.context_compiler, compiler
-        try:
-            for question, _answer, context in QA_CASES[:3]:
-                reader.predict(question, context)
-        finally:
-            reader.context_compiler = saved
-        states = compiler.export_states()
-        assert states  # the traffic compiled something
-        for text, state in states.items():
-            imported = CompiledContext.import_state(state)
-            again = imported.export_state()
-            assert pickle.dumps(again, protocol=pickle.HIGHEST_PROTOCOL) == (
-                pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
-            ), f"export/import/export drifted for {text[:40]!r}"
-
-
 # --------------------------------------------------------- distill equivalence
 
 
@@ -175,18 +148,18 @@ class TestDistillEquivalence:
         warm = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         serial = [warm.distill(*case) for case in cases]
 
-        # Snapshot ON: workers hydrate from the warm parent's state.
+        # Snapshot ON: workers take the LM from the shared segment.
         with BatchDistiller(warm, workers=2, backend="process") as batch:
-            hydrated = batch.distill_many(cases)
+            snapshotted = batch.distill_many(cases)
             info = batch.snapshot_info()
-        # Snapshot OFF: cold workers, the pre-snapshot behaviour.
+        # Snapshot OFF: the full pipeline rides the initializer.
         cold_pipeline = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         with BatchDistiller(
             cold_pipeline, workers=2, backend="process", snapshot=False
         ) as batch:
             cold = batch.distill_many(cases)
 
-        for expected, on, off in zip(serial, hydrated, cold):
+        for expected, on, off in zip(serial, snapshotted, cold):
             assert on.evidence == expected.evidence == off.evidence
             assert on.scores == expected.scores == off.scores
             assert pickle.dumps(on.scores) == pickle.dumps(expected.scores)
@@ -194,10 +167,20 @@ class TestDistillEquivalence:
         assert info is not None
         assert info["bytes"] > 0
         assert info["build_ms"] >= 0
-        assert info["hydration"]["hits"] > 0
         for worker in info["workers"]:
             assert worker["snapshot"] is True
             assert worker["snapshot_load_ms"] >= 0
+
+    def test_warm_parent_ships_only_lm_and_index(self, artifacts):
+        # However warm the parent's caches, the snapshot carries only the
+        # read-only tables workers read: caches travel empty.
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        for case in QA_CASES:
+            gced.distill(*case)
+        with BatchDistiller(gced, workers=2) as batch:
+            info = batch.snapshot_info()
+        assert set(info["sections"]) <= {"lm", "index"}
+        assert "hydration" not in info
 
     def test_snapshot_off_reports_no_snapshot_info(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
@@ -211,22 +194,6 @@ class TestDistillEquivalence:
 
 
 class TestStaleness:
-    def test_distiller_rejects_stale_snapshot(self, artifacts):
-        base = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        snap = base.build_snapshot()
-        try:
-            ablated = GCED(
-                qa_model=artifacts.reader,
-                artifacts=artifacts,
-                config=GCEDConfig().ablate("clip"),
-            )
-            with pytest.raises(ValueError, match="stale pipeline snapshot"):
-                BatchDistiller(
-                    ablated, workers=2, backend="process", snapshot=snap
-                )
-        finally:
-            snap.close(unlink=True)
-
     def test_adopt_snapshot_refuses_fingerprint_mismatch(self, artifacts):
         base = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         snap = base.build_snapshot(use_shared_memory=False)
@@ -241,18 +208,6 @@ class TestStaleness:
             assert base.adopt_snapshot(snap) is True
         finally:
             snap.close(unlink=True)
-
-    def test_pipeline_snapshot_caches_and_refreshes(self, artifacts):
-        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        first = gced.pipeline_snapshot()
-        try:
-            assert gced.pipeline_snapshot() is first
-            second = gced.pipeline_snapshot(refresh=True)
-            assert second is not first
-            assert second.fingerprint == first.fingerprint
-        finally:
-            gced.pipeline_snapshot().close(unlink=True)
-
 
 # ----------------------------------------------------- shared-memory hygiene
 
@@ -275,21 +230,6 @@ class TestSharedMemoryCleanup:
             batch.executor.map(_boom, [1, 2, 3])
         batch.close()
         assert not _segment_exists(name)
-
-    def test_caller_owned_snapshot_survives_distiller_close(self, artifacts):
-        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        snap = gced.build_snapshot()
-        try:
-            name = snap.shm_name
-            with BatchDistiller(
-                gced, workers=2, backend="process", snapshot=snap
-            ):
-                pass
-            # The distiller never owned it, so the segment is still live.
-            assert name is None or _segment_exists(name)
-        finally:
-            snap.close(unlink=True)
-
 
 # --------------------------------------------------------- executor lifecycle
 
@@ -354,17 +294,6 @@ class TestCompiledAccounting:
         assert cache._bytes == 40
         assert cache.reaccount("missing") == 0
 
-    def test_loader_read_through(self):
-        cache = LRUCache(capacity=4)
-        cache.loader = lambda key: key * 2 if key != "nope" else MISSING
-        assert cache.get("ab") == "abab"
-        assert cache.loader_hits == 1
-        assert cache.get("ab") == "abab"  # now a real hit, loader not hit
-        assert cache.loader_hits == 1
-        assert cache.get("nope", "dflt") == "dflt"
-        assert cache.loader_misses == 1
-
-
 # ------------------------------------------------------- ASE sentence artifacts
 
 
@@ -385,42 +314,6 @@ class TestASECompiledSentences:
         assert calls == []  # factory not invoked on the memo hit
         assert len(preds) == len(first)
 
-    def test_sentence_artifacts_ride_the_snapshot(self, gced):
-        question, answer, context = QA_CASES[0]
-        gced.ase.extract(question, answer, context)
-        compiled = gced.qa_model.compiled_context(context)
-        state = compiled.export_state()
-        imported = CompiledContext.import_state(state)
-        assert imported.sentences() == compiled.sentences()
-        assert question in imported._sentence_preds
-
-
-# ------------------------------------------------------- compiler hydration
-
-
-class TestCompilerHydration:
-    def test_attach_snapshot_hydrates_fresh_compiler(self, artifacts):
-        reader = artifacts.reader
-        warm = ContextCompiler()
-        saved, reader.context_compiler = reader.context_compiler, warm
-        try:
-            question, _answer, context = QA_CASES[0]
-            baseline = reader.predict(question, context)
-            states = warm.export_states()
-
-            fresh = ContextCompiler()
-            fresh.attach_snapshot(
-                lambda text: states.get(text, MISSING)
-            )
-            reader.context_compiler = fresh
-            hydrated = reader.predict(question, context)
-        finally:
-            reader.context_compiler = saved
-        assert hydrated == baseline
-        assert fresh.cache.loader_hits == 1
-        assert len(fresh.cache) == 1
-
-
 # ----------------------------------------------------- snapshot generations
 
 
@@ -432,16 +325,6 @@ class TestSnapshotGeneration:
         attached = PipelineSnapshot.attach(snap.handle)
         assert attached.generation == 3
         snap.close(unlink=True)
-
-    def test_pipeline_snapshot_refresh_bumps_generation(self, artifacts):
-        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        first = gced.pipeline_snapshot()
-        try:
-            assert first.generation == 0
-            second = gced.pipeline_snapshot(refresh=True)
-            assert second.generation == 1
-        finally:
-            gced.pipeline_snapshot().close(unlink=True)
 
     def test_readopting_same_generation_is_noop(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
