@@ -6,15 +6,23 @@ hardware-dependent (the pipeline is pure-Python CPU work, so the pool
 needs multiple cores to win, and small samples are dominated by its
 dispatch overhead); the point of the benchmark is that the trajectory is
 *measured*, run over run, in ``benchmarks/results/batch_throughput.txt``.
+
+``batch.pool_start_ms`` is the median wall-clock of constructing a
+``BatchDistiller(workers=2)`` — pool fork plus the warm-up barrier that
+waits for every worker's initializer — over ``BENCH_POOL_STARTS``
+starts; every started pool's outputs must equal the serial outputs.
+Gated upward, it is the pool metric a 1-CPU runner can hold steady.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from benchmarks.common import emit, emit_json, get_context, sample_size
 
 N_EXAMPLES = sample_size("BENCH_N_EXAMPLES", 24)
+N_POOL_STARTS = sample_size("BENCH_POOL_STARTS", 5)
 
 
 def _fresh_distiller(ctx, workers: int):
@@ -42,6 +50,19 @@ def _measure(ctx, examples, workers: int) -> dict:
     }
 
 
+def _pool_start_ms(ctx, examples, serial_evidence: list[str]) -> list[float]:
+    """Construction times of fresh 2-worker distillers, outputs checked."""
+    times = []
+    for _ in range(N_POOL_STARTS):
+        started = time.perf_counter()
+        batch = _fresh_distiller(ctx, workers=2)
+        times.append(1000.0 * (time.perf_counter() - started))
+        with batch:
+            pooled = [r.evidence for r in batch.distill_examples(examples)]
+        assert pooled == serial_evidence, "pool outputs diverged from serial"
+    return times
+
+
 def test_batch_throughput_scaling():
     ctx = get_context("squad11")
     examples = ctx.dataset.answerable_dev()[:N_EXAMPLES]
@@ -61,6 +82,11 @@ def test_batch_throughput_scaling():
     hashes = {row.pop("evidence_hash") for row in rows}
     assert len(hashes) == 1, "parallel results diverged from serial"
 
+    with _fresh_distiller(ctx, workers=1) as batch:
+        serial_evidence = [r.evidence for r in batch.distill_examples(examples)]
+    start_times = _pool_start_ms(ctx, examples, serial_evidence)
+    pool_start_ms = statistics.median(start_times)
+
     lines = ["batch throughput (examples/sec), BatchDistiller on squad11"]
     for row in rows:
         lines.append(
@@ -70,18 +96,24 @@ def test_batch_throughput_scaling():
     serial = rows[0]["examples/sec"]
     best = rows[1]["examples/sec"]
     lines.append(f"  process:2 speedup: {best / serial:.2f}x over serial")
+    lines.append(
+        f"  process:2 pool start: {pool_start_ms:.1f}ms "
+        f"(median of {len(start_times)} starts)"
+    )
     emit("batch_throughput", "\n".join(lines))
     emit_json(
         "batch_throughput",
         {
             "examples": len(examples),
             "rows": rows,
+            "pool_start_ms_runs": [round(ms, 3) for ms in start_times],
             "metrics": {
                 "batch.serial_ex_per_sec": serial,
                 "batch.best_parallel_ex_per_sec": best,
                 # Hardware-relative: the process pool needs >= 2 cores
                 # and enough work per call to beat serial.
                 "batch.parallel_speedup": round(best / serial, 3),
+                "batch.pool_start_ms": round(pool_start_ms, 3),
             },
         },
     )

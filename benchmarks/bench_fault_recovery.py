@@ -5,7 +5,7 @@ one worker mid-batch with a genuine ``SIGKILL`` (the deterministic
 ``REPRO_FAULTS`` plan, one-shot via a token file so respawned workers
 cannot re-fire it), and measures how long the
 :class:`~repro.engine.executor.ParallelExecutor` takes to notice the
-broken pool, respawn the workers (re-hydrating the pipeline snapshot),
+broken pool, respawn the workers (each forked with the pipeline),
 and retry the failed chunks.  Every round asserts the recovered batch is
 byte-identical to a serial run of the same triples — recovery must be
 invisible in the outputs, not just eventual.

@@ -12,10 +12,10 @@ artifact and fails (exit 1) if any metric regressed more than
 environment variable) against ``benchmarks/results/baseline.json``:
 throughput metrics gate *downward*, and latency metrics — keys ending in
 ``_ms`` (the hot-path stage timings from ``bench_distill_profile.py``) —
-gate *upward*.  Size metrics — keys ending in ``bytes`` (the snapshot
-segment size from ``bench_snapshot.py``) — gate upward like latencies:
-silent snapshot bloat slows worker spawn long before anything else
-notices.  Cache-effectiveness ratios (``distill.clip_scores_hit_rate``)
+gate *upward*; so does ``batch.pool_start_ms`` (2-worker pool start
+through the warm-up barrier, from ``bench_batch_throughput.py``).  Size
+metrics — keys ending in ``bytes`` — gate upward like latencies.
+Cache-effectiveness ratios (``distill.clip_scores_hit_rate``)
 gate downward like throughput: losing cross-call session reuse halves
 the hit rate long before wall-clock regressions become visible on small
 CI samples.
@@ -31,8 +31,7 @@ With ``PERF_GATE_MULTICORE=1`` the gate additionally enforces a hard
 floor of 1.3x on ``batch.parallel_speedup`` regardless of the baseline —
 only set it on runners with >= 2 CPUs.  On single-CPU runners (where the
 process backend cannot beat serial) leave it unset and the gate relies
-on ``snapshot.worker_load_ms`` / ``snapshot.bytes`` /
-``snapshot.payload_bytes`` instead.
+on ``batch.pool_start_ms`` instead.
 
 Absolute wall-clock varies across runner hardware more
 than relative throughput does, so latency baselines must be produced on
@@ -60,7 +59,6 @@ SOURCE_FILES = (
     "service_saturation.json",
     "retrieval.json",
     "distill_profile.json",
-    "snapshot.json",
     "obs_overhead.json",
     "fault_recovery.json",
     "ingest_recovery.json",
@@ -76,7 +74,7 @@ MULTICORE_FLOOR = 1.3
 ABSOLUTE_CEILINGS = {"obs.overhead_pct": 5.0}
 # Context-only payload keys carried into the artifact, keyed by source so
 # two benchmarks reporting latencies never clobber each other.
-CONTEXT_KEYS = ("latency_ms", "query_latency_ms", "full_pickle_bytes")
+CONTEXT_KEYS = ("latency_ms", "query_latency_ms")
 
 
 def collect_metrics(results_dir: pathlib.Path) -> tuple[dict, list[str]]:
@@ -107,8 +105,8 @@ def compare(
     Throughput metrics regress *downward* (below ``base * (1 - tol)``);
     latency and size metrics — any key ending in ``_ms`` or ``bytes`` —
     regress *upward*, so the gate protects the hot-path stage timings
-    from ``bench_distill_profile.py`` and the snapshot segment size from
-    ``bench_snapshot.py`` in the direction that actually hurts.
+    from ``bench_distill_profile.py`` and the pool start time from
+    ``bench_batch_throughput.py`` in the direction that actually hurts.
     Absolute wall-clock varies across runner hardware more than relative
     throughput does, so latency keys get double the tolerance: a slower
     runner shifts every ``_ms`` value together, while the multi-x

@@ -20,10 +20,9 @@ exposed through :meth:`BatchDistiller.stats` / :meth:`profile`.
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import operator
 import os
-import pickle
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -37,7 +36,6 @@ from repro.faults import CircuitBreaker, fault_point, install_from_env
 from repro.obs import trace as obs_trace
 from repro.obs.logs import get_logger
 from repro.utils.cache import LRUCache, MISSING
-from repro.utils.timing import Timer
 
 _log = get_logger("batch")
 
@@ -55,82 +53,25 @@ def _traced_task_context(task) -> str:
 # Per-process pipeline installed by the process-pool initializer, so each
 # task ships a (question, answer, context) triple instead of the pipeline.
 _WORKER_GCED: GCED | None = None
-# Facts recorded by the initializer (pid, snapshot-load ms), collected by
-# the parent through the _worker_info warmup probe.
-_WORKER_INIT: dict | None = None
 
 
-def _init_worker(gced, handle=None) -> None:
-    """Install the per-process pipeline (and, optionally, a snapshot).
+def _init_worker(gced: GCED) -> None:
+    """Install the per-process pipeline.
 
-    ``gced`` is either the pipeline object (legacy path; inherited under
-    fork) or a :func:`~repro.engine.snapshot.dump_for_workers` payload —
-    bytes whose hollow LM and index rehydrate from ``handle``'s snapshot
-    (caches arrive empty), which is attached and *activated first* so
-    unpickling and every later lazy rehydration can read it.
+    Under the ``fork`` start method ``gced`` is the coordinator's own
+    object, inherited with no pickling; other start methods unpickle a
+    full copy (caches included) into each worker.
     """
-    global _WORKER_GCED, _WORKER_INIT
+    global _WORKER_GCED
     # Re-read the fault plan in every (re)spawned worker: respawn after a
     # crash starts fresh processes, and chaos plans must reach them too.
     install_from_env()
-    started = time.perf_counter()
-    snap = None
-    if handle is not None:
-        from repro.engine.snapshot import PipelineSnapshot, activate
-
-        snap = PipelineSnapshot.attach(handle)
-        activate(snap)
-    if isinstance(gced, bytes):
-        gced = pickle.loads(gced)
-    if snap is not None:
-        gced.adopt_snapshot(snap)
     _WORKER_GCED = gced
-    _WORKER_INIT = {
-        "pid": os.getpid(),
-        "snapshot": snap is not None,
-        "snapshot_load_ms": round((time.perf_counter() - started) * 1000.0, 3),
-    }
 
 
-def _worker_info() -> dict | None:
-    """Warmup probe: what the initializer recorded in this worker."""
-    return dict(_WORKER_INIT) if _WORKER_INIT is not None else None
-
-
-def _adopt_handle(handle) -> dict | None:
-    """Re-hydration broadcast task: adopt a newer snapshot in place.
-
-    Runs in a live pool worker.  Attaches the refreshed snapshot,
-    activates it, and re-adopts — :meth:`GCED.adopt_snapshot` treats a
-    same-or-older generation as an idempotent no-op, so a worker that
-    receives the broadcast twice (pool scheduling is best-effort) does
-    the expensive index refresh only once.  The previously active
-    snapshot is closed (never unlinked — workers don't own segments).
-    """
-    gced = _WORKER_GCED
-    if gced is None:
-        return None
-    from repro.engine.snapshot import PipelineSnapshot, activate, active
-
-    previous = active()
-    if previous is not None and previous.fingerprint == handle.fingerprint:
-        if getattr(previous, "generation", 0) >= handle.generation:
-            return {
-                "pid": os.getpid(),
-                "adopted": True,
-                "generation": handle.generation,
-                "noop": True,
-            }
-    snap = PipelineSnapshot.attach(handle)
-    activate(snap)
-    adopted = gced.adopt_snapshot(snap)
-    if previous is not None:
-        previous.close()
-    return {
-        "pid": os.getpid(),
-        "adopted": adopted,
-        "generation": handle.generation,
-    }
+def _worker_pid() -> int | None:
+    """Warmup probe: this worker's pid, once its initializer has run."""
+    return os.getpid() if _WORKER_GCED is not None else None
 
 
 def _worker_distill(triple: Triple) -> tuple[DistillationResult, PipelineProfile]:
@@ -220,15 +161,9 @@ class BatchDistiller:
         gced: the configured pipeline.
         cache_size: memoized finished results (LRU).
         workers: parallelism for :meth:`distill_many`: 1 runs inline,
-            more runs a process pool with a pipeline copy in each worker
-            (0 = one per CPU).
+            more runs a process pool whose workers inherit ``gced`` when
+            they fork (0 = one per CPU).
         backend: ``"process"``, the only pool kind; other values raise.
-        snapshot: with ``True`` (default) a process pool gets its LM and
-            index tables through a
-            :class:`~repro.engine.snapshot.PipelineSnapshot` the
-            distiller builds from ``gced`` and unlinks on :meth:`close`;
-            ``False`` ships the full pipeline through the initializer
-            instead.
         breaker_failures / breaker_reset_s: circuit-breaker tuning for
             the process pool — after ``breaker_failures`` consecutive
             unrecovered pool breaks, batches run serially in the
@@ -242,7 +177,6 @@ class BatchDistiller:
         cache_size: int = 4096,
         workers: int = 1,
         backend: str = "process",
-        snapshot: bool = True,
         breaker_failures: int = 3,
         breaker_reset_s: float = 30.0,
     ) -> None:
@@ -252,43 +186,25 @@ class BatchDistiller:
                 "was removed; workers > 1 always runs a process pool"
             )
         self.gced = gced
-        self._snapshot = None
         n_workers = workers if workers > 0 else (os.cpu_count() or 1)
         pool_kwargs = {}
-        if n_workers > 1 and snapshot:
-            snap = self._snapshot = gced.build_snapshot()
-            from repro.engine.snapshot import dump_for_workers
-
-            # Pre-pickled with warm state externalized: the bulky tables
-            # travel once via the snapshot segment, not N times through
-            # initializer payloads (and not at all by accident under
-            # fork's initargs inheritance).
-            payload = dump_for_workers(gced)
-            pool_kwargs = {
-                "initializer": _init_worker,
-                "initargs": (payload, snap.handle),
-            }
-        elif n_workers > 1:
+        if n_workers > 1:
             pool_kwargs = {"initializer": _init_worker, "initargs": (gced,)}
         self.executor = build_executor(workers=n_workers, **pool_kwargs)
         self._worker_profile = PipelineProfile()
         # Warm start: spawn pool workers (and run the pipeline initializer
         # in each) now, so the first batch measures distillation, not
-        # worker startup.  The probe collects each worker's initializer
-        # facts (pid, snapshot-load ms).
-        self._warmup_report: WarmupReport = self.executor.warmup(
-            probe=_worker_info
-        )
-        self._worker_profile.count(
-            "pool_warmup_ms", round(self._warmup_report.seconds * 1000.0, 3)
-        )
+        # worker startup.  The probe reports each initialized worker's pid.
+        warmup: WarmupReport = self.executor.warmup(probe=_worker_pid)
+        self._worker_profile.count("pool_warmup_ms", round(warmup.seconds * 1000.0, 3))
         self._results = LRUCache(capacity=cache_size)
-        self.timer = Timer()
         # Guards the run counters below: the serving scheduler may flush a
         # batch while another thread reads stats() or distills inline.
         self._stats_lock = threading.Lock()
         self._n_distilled = 0
         self._n_hits = 0
+        # Wall-clock seconds spent distilling (memo hits excluded).
+        self._distill_seconds = 0.0
         # Summed in record order, so mean_reduction equals the mean
         # over every result distilled so far.
         self._reduction_sum = 0.0
@@ -300,8 +216,6 @@ class BatchDistiller:
             reset_after_s=breaker_reset_s,
         )
         self._degraded_batches = 0
-        self._snapshot_refreshes = 0
-        self._last_refresh: dict | None = None
 
     # ------------------------------------------------------------- single
     def distill_one(
@@ -314,10 +228,21 @@ class BatchDistiller:
             with self._stats_lock:
                 self._n_hits += 1
             return cached
-        with self.timer.measure("distill"):
+        with self._timed():
             result = self.gced.distill(question, answer, context)
         self._record(key, result)
         return result
+
+    @contextlib.contextmanager
+    def _timed(self):
+        """Add the block's wall-clock to the distill total, even on error."""
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - started
+            with self._stats_lock:
+                self._distill_seconds += elapsed
 
     def _record(self, key: Triple, result: DistillationResult) -> None:
         self._results.put(key, result)
@@ -356,7 +281,7 @@ class BatchDistiller:
 
         if pending:
             jobs = list(pending)
-            with self.timer.measure("distill"):
+            with self._timed():
                 outcomes = self._execute(jobs)
             for key, result in zip(jobs, outcomes):
                 self._record(key, result)
@@ -473,83 +398,9 @@ class BatchDistiller:
             "executor": executor_stats,
         }
 
-    def refresh_snapshot(self) -> dict | None:
-        """Rebuild the pipeline snapshot and re-hydrate the live pool.
-
-        The data-plane refresh path (wired to post-compaction by the
-        service): builds a new snapshot at ``generation + 1`` from the
-        pipeline's *current* data plane, broadcasts an adopt task to the
-        running workers — same pids, no respawn — and points future
-        respawns at the new handle.  Serial execution (and snapshot-less
-        pools) use the coordinator's objects directly, so there is
-        nothing to refresh: returns ``None``.
-        """
-        snap = self._snapshot
-        if snap is None:
-            return None
-        from repro.engine.snapshot import dump_for_workers
-
-        fresh = self.gced.build_snapshot(generation=snap.generation + 1)
-        payload = dump_for_workers(self.gced)
-        self.executor.set_initargs((payload, fresh.handle))
-        report = self.executor.warmup(
-            probe=functools.partial(_adopt_handle, fresh.handle)
-        )
-        self._snapshot = fresh
-        # Safe while stale workers still map it: unlink removes the name,
-        # the memory lives until their mappings close.
-        snap.close(unlink=True)
-        workers = [
-            info
-            for info in report.worker_infos
-            if isinstance(info, dict) and "pid" in info
-        ]
-        outcome = {
-            "generation": fresh.generation,
-            "broadcast_ms": round(report.seconds * 1000.0, 3),
-            "workers": sorted(
-                workers, key=lambda w: (w["pid"], w.get("noop", False))
-            ),
-        }
-        with self._stats_lock:
-            self._snapshot_refreshes += 1
-            self._last_refresh = outcome
-        _log.info(
-            "pipeline snapshot refreshed in place",
-            generation=fresh.generation,
-            workers=len({w["pid"] for w in workers}),
-            broadcast_ms=outcome["broadcast_ms"],
-        )
-        return outcome
-
-    def snapshot_info(self) -> dict | None:
-        """Snapshot-plane observability (None when no snapshot is used).
-
-        Reports build cost and size, the warmup barrier's wall-clock, and
-        the per-worker initializer facts collected by the warmup probe.
-        """
-        snap = self._snapshot
-        if snap is None:
-            return None
-        workers: dict[int, dict] = {}
-        for info in self._warmup_report.worker_infos:
-            if isinstance(info, dict) and "pid" in info:
-                workers[info["pid"]] = info
-        with self._stats_lock:
-            refreshes = self._snapshot_refreshes
-            last_refresh = self._last_refresh
-        return {
-            "fingerprint": snap.fingerprint,
-            "generation": snap.generation,
-            "refreshes": refreshes,
-            "last_refresh": last_refresh,
-            "build_ms": snap.meta.get("build_ms"),
-            "bytes": snap.nbytes,
-            "shared_memory": snap.shm_name is not None,
-            "sections": dict(snap.meta.get("sections", {})),
-            "warmup_ms": round(self._warmup_report.seconds * 1000.0, 3),
-            "workers": sorted(workers.values(), key=lambda w: w["pid"]),
-        }
+    def snapshot_info(self) -> None:
+        """Always None: workers inherit the pipeline, nothing is packed."""
+        return None
 
     def profile(self) -> PipelineProfile:
         """Combined per-stage/per-cache profile of all work so far.
@@ -573,8 +424,8 @@ class BatchDistiller:
         return combined
 
     def stats(self) -> BatchStats:
-        total = self.timer.totals.get("distill", 0.0)
         with self._stats_lock:
+            total = self._distill_seconds
             n_distilled = self._n_distilled
             n_hits = self._n_hits
             reduction_sum = self._reduction_sum
@@ -595,15 +446,8 @@ class BatchDistiller:
         )
 
     def close(self) -> None:
-        """Shut down the worker pool and release the snapshot.
-
-        The shared-memory segment is unlinked only after the pool has
-        fully shut down (workers hold mappings until then).
-        """
+        """Shut down the worker pool."""
         self.executor.close()
-        snap, self._snapshot = self._snapshot, None
-        if snap is not None:
-            snap.close(unlink=True)
 
     def __enter__(self) -> "BatchDistiller":
         return self

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 from repro.metrics.hybrid import HybridWeights
@@ -53,16 +52,6 @@ class GCEDConfig:
             self.use_informativeness or self.use_conciseness or self.use_readability
         ):
             raise ValueError("at least one scoring criterion must stay enabled")
-
-    def fingerprint(self) -> str:
-        """Stable digest of every knob, for snapshot freshness checks.
-
-        A :class:`~repro.engine.snapshot.PipelineSnapshot` built under one
-        config must not be adopted by a pipeline running another (ablations
-        change scores); the dataclass ``repr`` covers all fields
-        deterministically, so equal configs share a fingerprint.
-        """
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
 
     def effective_weights(self) -> HybridWeights:
         """Hybrid weights with disabled criteria zeroed and renormalized."""

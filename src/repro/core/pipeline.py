@@ -135,10 +135,6 @@ class GCED:
         self.plan = tuple(plan) if plan is not None else stage_plan(self.config)
         self.stages = (registry or default_registry).build(self.plan)
         self.profile = PipelineProfile()
-        # Generation of the snapshot this pipeline last adopted (worker
-        # side); None until the first adopt.  A newer generation
-        # refreshes the retrieval index in place.
-        self._adopted_generation = None
 
     # ------------------------------------------------------------ pipeline
     def make_context(self, question: str, answer: str, context: str) -> StageContext:
@@ -202,103 +198,6 @@ class GCED:
             # (memoized results keep their original retrieval record).
             ctx.result.retrieval = retrieval
         return ctx.result
-
-    # -------------------------------------------------------- snapshot plane
-    def build_snapshot(self, use_shared_memory: bool = True, generation: int = 0):
-        """Serialize this pipeline's read-only tables into a fresh snapshot.
-
-        Sections (each present only when it has content): ``lm`` — the
-        trigram LM's flat tables; ``index`` — the retriever's canonical
-        index bytes.  Caches do not ride the snapshot: workers start them
-        empty, and since distillation is a pure function of the triple a
-        cold cache recomputes exactly what a warm one would have held.
-        The snapshot is stamped with the config fingerprint so workers
-        refuse it under a different config.
-        """
-        from repro.engine.snapshot import PipelineSnapshot
-
-        started = time.perf_counter()
-        sections: dict[str, bytes] = {}
-        language_model = self.artifacts.language_model
-        if getattr(language_model, "_fitted", False):
-            sections["lm"] = language_model.snapshot_bytes()
-        if self.retriever is not None:
-            index = getattr(self.retriever, "index", None)
-            if index is not None:
-                sections["index"] = index.to_snapshot_bytes()
-        snapshot = PipelineSnapshot(
-            sections,
-            fingerprint=self.config.fingerprint(),
-            meta={
-                "sections": {name: len(blob) for name, blob in sections.items()},
-            },
-            use_shared_memory=use_shared_memory,
-            generation=generation,
-        )
-        snapshot.meta["build_ms"] = round(
-            (time.perf_counter() - started) * 1000.0, 3
-        )
-        return snapshot
-
-    def adopt_snapshot(self, snapshot) -> bool:
-        """Adopt ``snapshot`` (already attached and activated by the
-        caller) as this pipeline's source of read-only tables.
-
-        Refuses — returning False and counting ``snapshot_stale`` —
-        when the snapshot was built under a different config fingerprint:
-        ablation switches change scores, so a worker must never serve one
-        config's pipeline from another config's snapshot.
-
-        Generations make re-adoption idempotent: adopting the same (or
-        an older) generation again is a no-op returning True; adopting a
-        *newer* generation of the same config refreshes the retrieval
-        index in place — how a live worker pool picks up a compacted
-        corpus without a respawn.
-        """
-        if snapshot.fingerprint != self.config.fingerprint():
-            self.profile.count("snapshot_stale")
-            return False
-        generation = getattr(snapshot, "generation", 0)
-        previous = getattr(self, "_adopted_generation", None)
-        if previous is not None and generation <= previous:
-            self.profile.count("snapshot_readopt_noop")
-            return True
-        if previous is not None:
-            # A refresh of an already-adopted pipeline: the hollow index
-            # bound at spawn may have rehydrated stale postings — rebuild
-            # it from the new snapshot's section, preserving identity.
-            self._refresh_index_from(snapshot)
-            self.profile.count("snapshot_refreshed")
-        self._adopted_generation = generation
-        self.profile.count("snapshot_adopted")
-        return True
-
-    def _refresh_index_from(self, snapshot) -> None:
-        """Replace the retriever's index with the snapshot's section."""
-        if self.retriever is None:
-            return
-        try:
-            blob = snapshot.section("index")
-        except (KeyError, RuntimeError):
-            return
-        import json as _json
-
-        from repro.retrieval.index import InvertedIndex
-        from repro.retrieval.mutable import MutableInvertedIndex
-
-        payload = _json.loads(blob.decode("utf-8"))
-        if payload.get("format") == "gced-mutable-index":
-            base = InvertedIndex.from_dict(payload["index"])
-            tombstones = payload.get("tombstones", ())
-            current = self.retriever.index
-            if isinstance(current, MutableInvertedIndex):
-                current.rebase(base, tombstones)
-            else:
-                self.retriever.index = MutableInvertedIndex(
-                    base, tombstones=tombstones
-                )
-        else:
-            self.retriever.index = InvertedIndex.from_dict(payload)
 
     # ------------------------------------------------------ instrumentation
     def shared_caches(self) -> dict[str, LRUCache]:

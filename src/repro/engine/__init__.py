@@ -22,7 +22,6 @@ from repro.engine.executor import (
 )
 from repro.engine.instrumentation import CacheStats, PipelineProfile, StageTiming
 from repro.engine.registry import StageRegistry, default_registry, register_stage
-from repro.engine.snapshot import PipelineSnapshot, SnapshotHandle
 from repro.engine.stage import PipelineResources, Stage, StageContext
 
 __all__ = [
@@ -31,9 +30,7 @@ __all__ = [
     "ParallelExecutor",
     "PipelineProfile",
     "PipelineResources",
-    "PipelineSnapshot",
     "SerialExecutor",
-    "SnapshotHandle",
     "Stage",
     "StageContext",
     "StageRegistry",

@@ -11,11 +11,14 @@ contract:
 
 Process pools need picklable work: pass a module-level ``fn`` and use
 ``initializer``/``initargs`` to install heavyweight state (a configured
-pipeline) once per worker instead of once per task.
+pipeline) once per worker instead of once per task.  Under the ``fork``
+start method the workers inherit ``initargs`` with no pickling; other
+start methods pickle them into each worker.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 import time
@@ -45,8 +48,8 @@ class WarmupReport:
         seconds: wall-clock of the warmup barrier (pool spawn plus every
             initializer run for pools; ~0 for serial).
         worker_infos: whatever the warmup probes returned, one entry per
-            non-None probe result (process pools report per-worker facts
-            like snapshot-load milliseconds here).
+            non-None probe result; a process pool runs the probe exactly
+            once in every worker.
     """
 
     seconds: float = 0.0
@@ -71,10 +74,9 @@ class Executor:
 
         Long-lived callers (the batch distiller, the serving layer) call
         this at construction so worker spawn and per-worker initializers
-        — unpickling a configured pipeline is the expensive part — run
-        during startup instead of inside the first measured ``map``.
+        run during startup instead of inside the first measured ``map``.
         Returns a :class:`WarmupReport`; ``probe`` (a picklable zero-arg
-        callable) replaces the default barrier task so callers can
+        callable) runs once per worker after the barrier, so callers can
         collect per-worker facts.
         """
         return WarmupReport()
@@ -166,48 +168,47 @@ class ParallelExecutor(Executor):
                 if self._closed:
                     # Refuse, loudly: recreating the pool here used to
                     # silently resurrect a closed executor — workers (and
-                    # their initializer state, possibly a now-unlinked
-                    # snapshot) respawned behind the caller's back.
+                    # their initializer state) respawned behind the
+                    # caller's back.
                     raise RuntimeError(
                         "executor is closed; create a new one instead of "
                         "mapping on a closed executor"
                     )
                 if self._pool is None:
+                    # Each pool gets its own start barrier (a respawn
+                    # must not inherit a barrier a dead worker broke).
+                    barrier = multiprocessing.get_context().Barrier(self.workers)
                     self._pool = ProcessPoolExecutor(
                         max_workers=self.workers,
-                        initializer=self._initializer,
-                        initargs=self._initargs,
+                        initializer=_pool_init,
+                        initargs=(barrier, self._initializer, self._initargs),
                     )
         return self._pool
-
-    def set_initargs(self, initargs: tuple) -> None:
-        """Replace the initializer arguments for *future* pool spawns.
-
-        Existing workers are untouched — callers refresh them in place
-        (e.g. by broadcasting an adopt task); this only ensures a later
-        :meth:`_respawn` re-initializes workers from current state (a
-        fresh snapshot handle) instead of the one captured at build time.
-        """
-        with self._pool_lock:
-            self._initargs = initargs
 
     def warmup(self, probe: Callable | None = None) -> WarmupReport:
         """Create the pool and run per-worker initializers eagerly.
 
-        Submits one barrier task per worker so process workers spawn (and
-        unpickle their initializer state — the warm pipeline) now rather
-        than lazily inside the first real batch.  Best effort: a fast
-        worker may serve several barriers, but the dominant cost (pool
-        creation plus initializer runs for every spawned worker) is paid
-        here either way.  Idempotent; safe to call on a warm pool.  The
-        report (also kept as ``last_warmup``) carries the barrier's
+        Submits one barrier task per worker, so the workers spawn and run
+        their initializer now rather than inside the first real batch.
+        Each task waits (up to ``WARMUP_TIMEOUT_S``) until all of them
+        have started, so no worker can answer two: the warm-up returns
+        only once every worker's initializer has finished, and ``probe``
+        runs exactly once in each.  Safe to call again on a warm pool.
+        The report (also kept as ``last_warmup``) carries the barrier's
         wall-clock and the non-None probe results.
+
+        Raises:
+            threading.BrokenBarrierError: some worker did not reach the
+                barrier within ``WARMUP_TIMEOUT_S``.
         """
         started = time.perf_counter()
         pool = self._ensure_pool()
-        task = probe or _warm_worker
+        futures = [
+            pool.submit(_warm_worker, probe, WARMUP_TIMEOUT_S)
+            for _ in range(self.workers)
+        ]
         infos = []
-        for future in [pool.submit(task) for _ in range(self.workers)]:
+        for future in futures:
             info = future.result()
             if info is not None:
                 infos.append(info)
@@ -235,9 +236,8 @@ class ParallelExecutor(Executor):
             # A dead worker (kill -9, OOM kill, hard crash) marks the
             # whole ProcessPoolExecutor broken and fails every in-flight
             # chunk, not just the one the victim was running.  Respawn
-            # the pool once — fresh workers re-run the initializer,
-            # re-hydrating the snapshot, whose segment the coordinator
-            # still owns — and retry only the failed chunks.
+            # the pool once — fresh workers re-run the initializer — and
+            # retry only the failed chunks.
             started = time.perf_counter()
             self._respawn()
             still_failed = self._map_chunks(fn, items, failed, results)
@@ -294,10 +294,9 @@ class ParallelExecutor(Executor):
     def _respawn(self) -> None:
         """Replace a broken pool with a fresh one (same initializer).
 
-        The snapshot handle in ``initargs`` is still valid — the
-        coordinator owns the shared-memory segment until :meth:`close`
-        — so respawned workers re-hydrate from it in their initializer.
-        Raises if the executor was closed meanwhile.
+        The next :meth:`_ensure_pool` forks the new workers from the
+        coordinator as it is now.  Raises if the executor was closed
+        meanwhile.
         """
         with self._pool_lock:
             if self._closed:
@@ -341,8 +340,25 @@ def _run_chunk(fn: Callable[[Any], Any], chunk_items: list) -> list:
     return [fn(item) for item in chunk_items]
 
 
-def _warm_worker() -> None:
-    """Barrier task: forces worker spawn + initializer before real work."""
+# Seconds a warm-up task waits for the other workers' barrier tasks.
+WARMUP_TIMEOUT_S = 60.0
+
+# The pool's start barrier, installed in each worker by _pool_init.
+_START_BARRIER = None
+
+
+def _pool_init(barrier, initializer: Callable | None, initargs: tuple) -> None:
+    """Worker initializer: keep the start barrier, then run the caller's."""
+    global _START_BARRIER
+    _START_BARRIER = barrier
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _warm_worker(probe: Callable | None, timeout: float) -> Any:
+    """Barrier task: holds this worker until every worker holds one."""
+    _START_BARRIER.wait(timeout)
+    return probe() if probe is not None else None
 
 
 def _locality_order(

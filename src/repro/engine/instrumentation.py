@@ -235,7 +235,7 @@ class PipelineProfile:
             )
         for name, value in sorted(self.counters.items()):
             # Counters are ints for event counts but floats for timing
-            # accumulators (e.g. pool_warmup_ms, snapshot_load_ms).
+            # accumulators (e.g. pool_warmup_ms).
             rendered = (
                 f"{value:>6d}" if isinstance(value, int) else f"{value:>9.2f}"
             )

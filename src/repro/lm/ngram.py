@@ -9,15 +9,11 @@ than shuffled or fragmented ones.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
-from array import array
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-__all__ = ["BOS", "FlatNGramTables", "NGramLanguageModel"]
+__all__ = ["BOS", "NGramLanguageModel"]
 
 _BOS = "<s>"
 _EOS = "</s>"
@@ -27,94 +23,6 @@ _EOS = "</s>"
 # ``log_probability`` uses.  (EOS is fit-time only — ``log_probability``
 # scores sequences *without* EOS, so replayers must not append it.)
 BOS = _BOS
-
-# Flat-table wire format: magic + version byte, then fixed-size scalars,
-# then length-prefixed blobs (vocab JSON, count/id arrays).  Everything is
-# little-endian and built from sorted keys, so serialization is a pure
-# function of the model's counts — save→load→save is byte-identical.
-_FLAT_MAGIC = b"GLM1"
-_FLAT_HEADER = struct.Struct("<4sBxxx3ddQ6Q")
-
-
-@dataclass(frozen=True)
-class FlatNGramTables:
-    """The LM's counts flattened to compact arrays for the snapshot plane.
-
-    ``Counter`` pickles pay per-entry object overhead (tuple keys,
-    boxed ints); the flat form stores one sorted vocabulary plus
-    parallel ``array`` buffers — vocabulary-index id pairs/triples and
-    unsigned counts — which serialize to raw bytes and sit naturally in
-    a shared-memory segment.  ``uni_counts`` is indexed by vocabulary
-    position (0 for symbols, like BOS, that only occur in contexts);
-    ``bi_ids``/``tri_ids`` hold the n-gram keys as flattened id tuples in
-    sorted key order.
-    """
-
-    order: int
-    lambdas: tuple[float, float, float]
-    add_k: float
-    total_tokens: int
-    vocab: tuple[str, ...]
-    uni_counts: array
-    bi_ids: array
-    bi_counts: array
-    tri_ids: array
-    tri_counts: array
-
-    def to_bytes(self) -> bytes:
-        vocab_blob = json.dumps(
-            list(self.vocab), ensure_ascii=False, separators=(",", ":")
-        ).encode("utf-8")
-        blobs = (
-            vocab_blob,
-            self.uni_counts.tobytes(),
-            self.bi_ids.tobytes(),
-            self.bi_counts.tobytes(),
-            self.tri_ids.tobytes(),
-            self.tri_counts.tobytes(),
-        )
-        header = _FLAT_HEADER.pack(
-            _FLAT_MAGIC,
-            self.order,
-            *self.lambdas,
-            self.add_k,
-            self.total_tokens,
-            *(len(blob) for blob in blobs),
-        )
-        return header + b"".join(blobs)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "FlatNGramTables":
-        fields = _FLAT_HEADER.unpack_from(blob)
-        magic, order = fields[0], fields[1]
-        if magic != _FLAT_MAGIC:
-            raise ValueError("not a flat n-gram table blob")
-        lambdas = fields[2:5]
-        add_k, total_tokens = fields[5], fields[6]
-        lengths = fields[7:13]
-        offset = _FLAT_HEADER.size
-        parts: list[bytes] = []
-        for length in lengths:
-            parts.append(blob[offset : offset + length])
-            offset += length
-        arrays = []
-        for typecode, raw in zip("QIQIQ", parts[1:]):
-            arr = array(typecode)
-            arr.frombytes(raw)
-            arrays.append(arr)
-        return cls(
-            order=order,
-            lambdas=tuple(lambdas),
-            add_k=add_k,
-            total_tokens=total_tokens,
-            vocab=tuple(json.loads(parts[0].decode("utf-8"))),
-            uni_counts=arrays[0],
-            bi_ids=arrays[1],
-            bi_counts=arrays[2],
-            tri_ids=arrays[3],
-            tri_counts=arrays[4],
-        )
-
 
 class NGramLanguageModel:
     """Trigram LM with Jelinek-Mercer interpolation.
@@ -151,118 +59,6 @@ class NGramLanguageModel:
         self.total_tokens = 0
         self._fitted = False
 
-    # -------------------------------------------------------- snapshot plane
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        if self._fitted:
-            from repro.engine.snapshot import externalizing
-
-            if externalizing():
-                # The counts ride the snapshot's shared segment as flat
-                # tables (one copy for all workers); the pickle carries a
-                # hollow shell that re-attaches on first probability().
-                state["unigrams"] = None
-                state["bigrams"] = None
-                state["trigrams"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def _rehydrate(self) -> None:
-        """Re-attach hollow (snapshot-externalized) counts on first use."""
-        from repro.engine.snapshot import load_active_section
-
-        blob = load_active_section("lm")
-        if blob is None:
-            raise RuntimeError(
-                "language-model counts were externalized to a pipeline "
-                "snapshot, but no snapshot is active in this process"
-            )
-        self._install_flat(FlatNGramTables.from_bytes(blob))
-
-    def to_flat(self) -> FlatNGramTables:
-        """Flatten the fitted counts to :class:`FlatNGramTables`."""
-        symbols: set[str] = set(self.unigrams)
-        for v, w in self.bigrams:
-            symbols.add(v)
-            symbols.add(w)
-        for u, v, w in self.trigrams:
-            symbols.add(u)
-            symbols.add(v)
-            symbols.add(w)
-        vocab = tuple(sorted(symbols))
-        index = {symbol: i for i, symbol in enumerate(vocab)}
-        uni_counts = array("Q", (self.unigrams.get(s, 0) for s in vocab))
-        bi_ids = array("I")
-        bi_counts = array("Q")
-        for v, w in sorted(self.bigrams):
-            bi_ids.append(index[v])
-            bi_ids.append(index[w])
-            bi_counts.append(self.bigrams[(v, w)])
-        tri_ids = array("I")
-        tri_counts = array("Q")
-        for u, v, w in sorted(self.trigrams):
-            tri_ids.append(index[u])
-            tri_ids.append(index[v])
-            tri_ids.append(index[w])
-            tri_counts.append(self.trigrams[(u, v, w)])
-        return FlatNGramTables(
-            order=self.order,
-            lambdas=tuple(self.lambdas),
-            add_k=self.add_k,
-            total_tokens=self.total_tokens,
-            vocab=vocab,
-            uni_counts=uni_counts,
-            bi_ids=bi_ids,
-            bi_counts=bi_counts,
-            tri_ids=tri_ids,
-            tri_counts=tri_counts,
-        )
-
-    def _install_flat(self, flat: FlatNGramTables) -> None:
-        """Rebuild the exact ``Counter`` tables from flat arrays.
-
-        Zero-count vocabulary symbols (context-only, e.g. BOS) are *not*
-        inserted, so ``vocab_size`` — ``len(unigrams)`` — and every
-        downstream probability match the original model bit-for-bit.
-        """
-        vocab = flat.vocab
-        self.unigrams = Counter(
-            {vocab[i]: count for i, count in enumerate(flat.uni_counts) if count}
-        )
-        bigrams: Counter[tuple[str, str]] = Counter()
-        bi_ids = flat.bi_ids
-        for pos, count in enumerate(flat.bi_counts):
-            bigrams[(vocab[bi_ids[2 * pos]], vocab[bi_ids[2 * pos + 1]])] = count
-        self.bigrams = bigrams
-        trigrams: Counter[tuple[str, str, str]] = Counter()
-        tri_ids = flat.tri_ids
-        for pos, count in enumerate(flat.tri_counts):
-            trigrams[
-                (
-                    vocab[tri_ids[3 * pos]],
-                    vocab[tri_ids[3 * pos + 1]],
-                    vocab[tri_ids[3 * pos + 2]],
-                )
-            ] = count
-        self.trigrams = trigrams
-        self.total_tokens = flat.total_tokens
-        self._fitted = True
-
-    def snapshot_bytes(self) -> bytes:
-        """The fitted counts as a flat byte blob (the ``lm`` section)."""
-        return self.to_flat().to_bytes()
-
-    @classmethod
-    def from_flat(cls, flat: FlatNGramTables) -> "NGramLanguageModel":
-        """Rebuild a fitted model from flattened tables."""
-        model = cls(
-            order=flat.order, lambdas=tuple(flat.lambdas), add_k=flat.add_k
-        )
-        model._install_flat(flat)
-        return model
-
     # ------------------------------------------------------------------ fit
     def fit(self, sentences: Iterable[Sequence[str]]) -> "NGramLanguageModel":
         """Accumulate n-gram counts from an iterable of token sequences."""
@@ -280,8 +76,6 @@ class NGramLanguageModel:
 
     @property
     def vocab_size(self) -> int:
-        if self.unigrams is None:
-            self._rehydrate()
         return max(1, len(self.unigrams))
 
     # ---------------------------------------------------------- probability
@@ -313,8 +107,6 @@ class NGramLanguageModel:
         """Interpolated ``p(w | u, v)``; always strictly positive."""
         if not self._fitted:
             raise RuntimeError("language model is not fitted; call fit() first")
-        if self.unigrams is None:
-            self._rehydrate()
         w, v, u = w.lower(), v.lower() if v != _BOS else v, u.lower() if u != _BOS else u
         l3, l2, l1 = self.lambdas
         p = l1 * self._p_unigram(w) + l2 * self._p_bigram(v, w)

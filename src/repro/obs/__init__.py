@@ -10,8 +10,8 @@ layer of the system:
 * :mod:`repro.obs.metrics` — mergeable counters, gauges, and
   fixed-bucket histograms behind a :class:`~repro.obs.metrics.MetricsRegistry`
   that renders Prometheus text exposition (``GET /metrics``), plus the
-  :class:`~repro.obs.metrics.TimingAccumulator` primitive that
-  ``utils.timing.Timer`` and the engine's ``StageTiming`` build on.
+  :class:`~repro.obs.metrics.TimingAccumulator` primitive that the
+  engine's ``StageTiming`` builds on.
 * :mod:`repro.obs.logs` — structured JSON logging on stdlib ``logging``:
   trace-id correlation, a rate-limit filter, and one configure call.
 * :mod:`repro.obs.exemplars` — a bounded ring of the slowest recent

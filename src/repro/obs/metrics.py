@@ -3,8 +3,8 @@
 Three first-class instruments — :class:`Counter` (monotone),
 :class:`Gauge` (set-to-value), :class:`Histogram` (fixed cumulative
 buckets) — plus :class:`TimingAccumulator`, the calls+seconds primitive
-that ``utils.timing.Timer`` and the engine's ``StageTiming`` are built
-on, so the repo has exactly one timing implementation.
+that the engine's ``StageTiming`` is built on, so the repo has exactly
+one timing implementation.
 
 All instruments support :meth:`merge` with another instance of the same
 shape (histograms require identical buckets), which is how per-worker
@@ -67,13 +67,12 @@ _TYPES = ("counter", "gauge", "histogram", "untyped")
 class TimingAccumulator:
     """Calls + total seconds — the one shared timing primitive.
 
-    ``utils.timing.Timer`` keeps one per label and the engine's
-    ``StageTiming`` extends it with a halt counter; both expose the same
-    ``calls`` / ``seconds`` / ``mean_ms`` surface this class defines.
-    Plain picklable data (instances travel inside ``PipelineProfile``
-    to and from process workers); accumulation is not internally locked
-    — holders that share instances across threads guard them, exactly
-    as ``PipelineProfile`` and ``Timer`` already do.
+    The engine's ``StageTiming`` extends it with a halt counter and
+    keeps the ``calls`` / ``seconds`` / ``mean_ms`` surface this class
+    defines.  Plain picklable data (instances travel inside
+    ``PipelineProfile`` to and from process workers); accumulation is
+    not internally locked — holders that share instances across threads
+    guard them, exactly as ``PipelineProfile`` already does.
     """
 
     __slots__ = ("calls", "seconds")

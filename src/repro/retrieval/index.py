@@ -11,13 +11,12 @@ chunks are tokenized in parallel and concatenated in id order, so
 serial and process-pool builds produce *byte-identical* indexes.
 ``n_shards`` survives only as the layout of the persisted
 ``gced-index`` v1/v2 JSON (:meth:`InvertedIndex.to_dict` files each
-posting under ``doc_id % n_shards``), so files and snapshot bytes are a
-pure function of the corpus and the shard count.
+posting under ``doc_id % n_shards``), so files are a pure function of
+the corpus and the shard count.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -147,56 +146,6 @@ class InvertedIndex(_ViewStats):
         self._view = ReadView(
             self.columns, {}, self.lengths, None, n, total / n if n else 0.0
         )
-
-    # -------------------------------------------------------- snapshot plane
-    def __getstate__(self) -> dict:
-        from repro.engine.snapshot import externalizing
-
-        if externalizing():
-            # Columns and docs ride the snapshot's shared segment (the
-            # canonical JSON bytes, one copy for all workers); the pickle
-            # carries a hollow shell that re-attaches on first lookup.
-            return {"metadata": dict(self.metadata), "_hollow": True}
-        return self.__dict__.copy()
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-
-    def __getattr__(self, name: str):
-        # Reached only for *missing* attributes: a hollow instance lazily
-        # rehydrates its data plane from the active snapshot.
-        hollow = self.__dict__.get("_hollow")
-        if hollow and name in ("columns", "lengths", "docs", "n_shards", "_view"):
-            self._rehydrate()
-            return self.__dict__[name]
-        raise AttributeError(name)
-
-    def _rehydrate(self) -> None:
-        from repro.engine.snapshot import load_active_section
-
-        blob = load_active_section("index")
-        if blob is None:
-            raise RuntimeError(
-                "inverted index was externalized to a pipeline snapshot, "
-                "but no snapshot is active in this process"
-            )
-        loaded = InvertedIndex.from_snapshot_bytes(blob)
-        self.__dict__.update(loaded.__dict__, _hollow=False)
-
-    def to_snapshot_bytes(self) -> bytes:
-        """Canonical serialized form for the snapshot's ``index`` section.
-
-        Reuses :meth:`to_dict` (the byte-identity reference form) encoded
-        as deterministic JSON, so snapshot round trips are byte-identical
-        and workers parse postings only if their traffic retrieves.
-        """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-
-    @classmethod
-    def from_snapshot_bytes(cls, blob: bytes) -> "InvertedIndex":
-        return cls.from_dict(json.loads(blob.decode("utf-8")))
 
     # ------------------------------------------------------------ building
     @classmethod

@@ -28,8 +28,7 @@ into a fresh immutable segment and swaps it atomically (write-temp →
 fsync → rename → fsync-dir), stamps the WAL high-water mark into the
 segment (``applied_seq``), then truncates the WAL.  A crash *between*
 the rename and the truncate is idempotent: replay skips records already
-folded into the segment.  Each compaction bumps ``generation``, and the
-``on_compact`` hook lets the service refresh live pipeline snapshots.
+folded into the segment.  Each compaction bumps ``generation``.
 
 **Fault sites** (for the chaos tests): ``wal.append`` inside the log
 writer, ``ingest.apply`` between the fsync and the in-memory apply, and
@@ -42,7 +41,7 @@ from __future__ import annotations
 import pathlib
 import threading
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.faults import fault_point
 from repro.obs.logs import get_logger
@@ -80,10 +79,6 @@ class IngestManager:
         generation: the segment's compaction generation.
         compact_every: auto-compact after this many applied operations
             (0 disables; :meth:`compact` always works explicitly).
-        on_compact: called as ``on_compact(generation)`` after each
-            successful compaction — the service hooks pipeline-snapshot
-            refresh here.  Errors are logged, never raised into the
-            write path.
     """
 
     def __init__(
@@ -93,12 +88,10 @@ class IngestManager:
         applied_seq: int = 0,
         generation: int = 0,
         compact_every: int = 0,
-        on_compact: Callable[[int], None] | None = None,
     ) -> None:
         self.directory = pathlib.Path(directory)
         self.index = index
         self.compact_every = int(compact_every)
-        self.on_compact = on_compact
         self._lock = threading.RLock()
         self._wal = WriteAheadLog(self.directory / WAL_FILE)
         # Why writes are refused until a reopen recovers from the log.
@@ -125,7 +118,6 @@ class IngestManager:
         seed_index: InvertedIndex | None = None,
         n_shards: int = 4,
         compact_every: int = 0,
-        on_compact: Callable[[int], None] | None = None,
     ) -> "IngestManager":
         """Open (or bootstrap) an ingest directory and recover its state.
 
@@ -171,7 +163,6 @@ class IngestManager:
             applied_seq=segment.applied_seq,
             generation=segment.generation,
             compact_every=compact_every,
-            on_compact=on_compact,
         )
         try:
             manager._recover(records, torn)
@@ -337,15 +328,6 @@ class IngestManager:
             compact_span.tag(
                 generation=generation, live_docs=self.index.n_docs
             )
-        if self.on_compact is not None:
-            try:
-                self.on_compact(generation)
-            except Exception:
-                _log.warning(
-                    "on_compact hook failed; compaction itself succeeded",
-                    exc_info=True,
-                    generation=generation,
-                )
         _log.info(
             "compaction complete",
             generation=generation,

@@ -28,7 +28,6 @@ if a view holds it.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import Counter
 from typing import Iterable
@@ -81,12 +80,8 @@ class MutableInvertedIndex(_ViewStats):
         self._extra_docs: dict[int, str] = {}
         self._view: ReadView | None = None
 
-    # ---------------------------------------------------------- snapshot
+    # -------------------------------------------------------------- pickle
     def __getstate__(self) -> dict:
-        from repro.engine.snapshot import externalizing
-
-        if externalizing():
-            return {"_hollow": True}
         state = self.__dict__.copy()
         state.pop("_lock", None)
         state["_view"] = None
@@ -95,48 +90,6 @@ class MutableInvertedIndex(_ViewStats):
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._lock = threading.RLock()
-
-    def __getattr__(self, name: str):
-        if self.__dict__.get("_hollow") and not name.startswith("__"):
-            self._rehydrate()
-            return getattr(self, name)
-        raise AttributeError(name)
-
-    def _rehydrate(self) -> None:
-        from repro.engine.snapshot import load_active_section
-
-        blob = load_active_section("index")
-        if blob is None:
-            raise RuntimeError(
-                "mutable index was externalized to a pipeline snapshot, "
-                "but no snapshot is active in this process"
-            )
-        loaded = MutableInvertedIndex.from_snapshot_bytes(blob)
-        self.__dict__.update(loaded.__dict__, _hollow=False)
-
-    def to_snapshot_bytes(self) -> bytes:
-        """Canonical bytes for the pipeline snapshot's ``index`` section.
-
-        The folded overlay plus the tombstone ids, so workers rebuild the
-        same live statistics; the lock is held only to capture the view.
-        """
-        folded, tombstones = self.fold()
-        payload = {
-            "format": "gced-mutable-index",
-            "index": folded.to_dict(),
-            "tombstones": tombstones,
-        }
-        return json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-
-    @classmethod
-    def from_snapshot_bytes(cls, blob: bytes) -> "MutableInvertedIndex":
-        payload = json.loads(blob.decode("utf-8"))
-        return cls(
-            InvertedIndex.from_dict(payload["index"]),
-            tombstones=payload.get("tombstones", ()),
-        )
 
     # ------------------------------------------------------------ read view
     def read_view(self) -> ReadView:
@@ -291,7 +244,6 @@ class MutableInvertedIndex(_ViewStats):
             fresh = MutableInvertedIndex(base, tombstones=tombstones)
             state = fresh.__dict__.copy()
             state["_lock"] = self._lock
-            state["_hollow"] = False  # a hollow worker copy is now real
             self.__dict__.update(state)
 
     # ---------------------------------------------------------- compaction

@@ -11,7 +11,7 @@ service load warm.  Two envelope versions of the same format coexist:
   tombstoned doc ids (dead slots whose ids must never be reused) and
   segment metadata — the WAL sequence number folded into the segment
   (``applied_seq``, which makes post-crash replay idempotent) and the
-  compaction ``generation`` (which versions pipeline-snapshot refreshes)::
+  compaction ``generation`` (how many compactions the segment has seen)::
 
       {"format": "gced-index", "version": 2, "index": {...},
        "tombstones": [...], "segment": {"applied_seq": N, "generation": G}}
@@ -67,8 +67,7 @@ class Segment:
         tombstones: dead doc ids, kept so the id space stays append-only.
         applied_seq: every WAL record with ``seq <= applied_seq`` is
             already folded into ``index`` — replay skips them.
-        generation: bumped by each compaction; consumed by the pipeline
-            snapshot plane to re-hydrate live worker pools.
+        generation: bumped by each compaction.
     """
 
     index: InvertedIndex

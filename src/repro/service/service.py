@@ -175,22 +175,16 @@ class DistillService:
         self.admission = AdmissionController(
             rate=config.client_rate, burst=config.client_burst
         )
-        # Durable write path.  Wired *before* the distiller so the
-        # pipeline snapshot (built at distiller construction for process
-        # pools) already carries the mutable, WAL-recovered index.
+        # Durable write path: the retriever serves the mutable,
+        # WAL-recovered index.
         self.ingest: IngestManager | None = None
         if config.ingest_dir and retriever is not None:
             self.ingest = IngestManager.open(
                 config.ingest_dir,
                 seed_index=retriever.index,
                 compact_every=config.compact_every,
-                on_compact=self._on_compact,
             )
             retriever.index = self.ingest.index
-        if retriever is not None and gced.retriever is None:
-            # Ship the index through the pipeline-snapshot plane so
-            # post-compaction refreshes re-hydrate pool workers in place.
-            gced.retriever = retriever
         self.distiller = BatchDistiller(
             gced,
             cache_size=config.cache_size,
@@ -575,17 +569,6 @@ class DistillService:
         return self._mark_degraded({"results": results, "errors": errors})
 
     # ------------------------------------------------------- live corpus
-    def _on_compact(self, generation: int) -> None:
-        """Post-compaction hook: push the fresh corpus to pool workers.
-
-        ``refresh_snapshot`` rebuilds the pipeline snapshot at a bumped
-        generation and broadcasts it to the *existing* worker pool (no
-        respawn); callers without a process pool get a cheap no-op.
-        Exceptions are swallowed by the ingest manager — a failed refresh
-        never rolls back a committed compaction.
-        """
-        self.distiller.refresh_snapshot()
-
     def ingest_dicts(
         self, texts: Sequence[str], client_id: str | None = None
     ) -> dict:
@@ -762,10 +745,6 @@ class DistillService:
                     else None
                 ),
             },
-            # Pipeline-snapshot plane (None unless the distiller runs
-            # snapshot-spawned process workers): build cost, segment
-            # size, and per-worker load times.
-            "snapshot": self.distiller.snapshot_info(),
             # Durable live-corpus plane (None without ingest_dir): WAL
             # bytes, tombstones, compaction generation, replay counters.
             "ingest": (

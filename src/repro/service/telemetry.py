@@ -262,8 +262,6 @@ STATS_FAMILIES = (
         "Torn-tail bytes truncated from WALs on recovery",
         "ingest.torn_bytes",
     ),
-    # Pipeline-snapshot plane.
-    ("snapshot_bytes", "gauge", "Pipeline snapshot segment size", "snapshot.bytes"),
 )
 
 

@@ -1,7 +1,6 @@
-"""Shared utilities: deterministic RNG, caching, timing."""
+"""Shared utilities: deterministic RNG and caching."""
 
 from repro.utils.rng import derive_seed, rng_from
 from repro.utils.cache import LRUCache, memoize_method
-from repro.utils.timing import Timer
 
-__all__ = ["derive_seed", "rng_from", "LRUCache", "memoize_method", "Timer"]
+__all__ = ["derive_seed", "rng_from", "LRUCache", "memoize_method"]

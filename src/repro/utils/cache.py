@@ -72,11 +72,6 @@ class LRUCache:
     that rejects its own inserts would silently degrade to a 0% hit
     rate).
 
-    Pickled for a process-pool worker payload (under
-    :func:`~repro.engine.snapshot.dump_for_workers`), a cache travels as
-    an empty shell: workers start cold and fill it from their own
-    traffic.
-
     >>> cache = LRUCache(capacity=2)
     >>> cache.put("a", 1); cache.put("b", 2); cache.put("c", 3)
     >>> cache.get("a") is None
@@ -112,17 +107,6 @@ class LRUCache:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
-        from repro.engine.snapshot import externalizing
-
-        if externalizing():
-            # Worker-payload pickling: the entries stay behind, so the
-            # pickled cache is an empty shell the worker fills itself.
-            state["_data"] = OrderedDict()
-            if state["_sizes"] is not None:
-                state["_sizes"] = {}
-            state["_bytes"] = 0
-            state["hits"] = 0
-            state["misses"] = 0
         return state
 
     def __setstate__(self, state: dict) -> None:

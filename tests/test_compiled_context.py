@@ -16,8 +16,13 @@ import pytest
 from repro import GCED
 from repro.core.config import GCEDConfig
 from repro.qa.answer_types import AnswerType
-from repro.qa.compiled import CompiledContext, ContextCompiler
+from repro.qa.compiled import (
+    CompiledContext,
+    ContextCompiler,
+    estimate_compiled_bytes,
+)
 from repro.qa.base import SpanScoringQA
+from repro.utils.cache import LRUCache
 
 from tests.conftest import QA_CASES
 
@@ -271,3 +276,63 @@ class TestCompilerCache:
         snap = compiler.snapshot()
         assert snap.size < 50
         assert snap.bytes <= 40_000
+
+
+# ----------------------------------------------------- byte-accurate accounting
+
+
+class TestCompiledAccounting:
+    def test_lru_bytes_track_lazy_growth(self, artifacts):
+        reader = artifacts.reader
+        compiler = ContextCompiler()
+        saved, reader.context_compiler = reader.context_compiler, compiler
+        try:
+            for question, _answer, context in QA_CASES:
+                reader.predict(question, context)
+        finally:
+            reader.context_compiler = saved
+        cache = compiler.cache
+        measured = sum(
+            estimate_compiled_bytes(value) for _key, value in cache.items()
+        )
+        # The invariant: accounted bytes equal the estimator applied to
+        # the *current* (lazily grown) values, and respect the budget.
+        assert cache._bytes == measured
+        assert cache.max_bytes is None or cache._bytes <= cache.max_bytes
+
+    def test_reaccount_evicts_on_growth(self):
+        cache = LRUCache(
+            capacity=8, size_estimator=lambda v: v["size"], max_bytes=100
+        )
+        small = {"size": 40}
+        other = {"size": 40}
+        cache.put("a", small)
+        cache.put("b", other)
+        assert cache._bytes == 80
+        small["size"] = 90  # "a" grew in place
+        assert cache.reaccount("a") == 90
+        # Over budget now: the LRU entry that is not most-recent evicts.
+        assert "b" in cache and "a" not in cache
+        assert cache._bytes == 40
+        assert cache.reaccount("missing") == 0
+
+
+# ------------------------------------------------------- ASE sentence artifacts
+
+
+class TestASECompiledSentences:
+    def test_sentences_memoized_on_compiled_context(self, gced):
+        question, answer, context = QA_CASES[0]
+        compiled = gced.qa_model.compiled_context(context)
+        first = compiled.sentences()
+        assert compiled.sentences() is first
+        result = gced.ase.extract(question, answer, context)
+        assert result.sentences  # artifact-backed split produced output
+        # The per-question sentence prediction batch is memoized too.
+        assert question in compiled._sentence_preds
+        calls = []
+        preds = compiled.sentence_predictions(
+            question, lambda: calls.append(1) or ()
+        )
+        assert calls == []  # factory not invoked on the memo hit
+        assert len(preds) == len(first)

@@ -234,6 +234,30 @@ class TestEmptyForestFallback:
         assert "oec" not in gced.profile.stages
 
 
+# ------------------------------------------------------ executor lifecycle
+class TestExecutorLifecycle:
+    def test_map_after_close_raises(self):
+        executor = ParallelExecutor(workers=2)
+        executor.warmup()
+        executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.map(str, [1, 2, 3])
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.warmup()
+        executor.close()  # idempotent
+
+    def test_warmup_report_collects_probe_results(self, gced):
+        # The start barrier holds each warm-up task until every worker
+        # has one, so no worker answers twice: each start lists both.
+        for _ in range(10):
+            with BatchDistiller(gced, workers=2) as batch:
+                report = batch.executor.last_warmup
+            assert report.seconds >= 0
+            assert len(report.worker_infos) == 2
+            assert len(set(report.worker_infos)) == 2
+            assert os.getpid() not in report.worker_infos
+
+
 # ------------------------------------------------------ batch + executors
 class TestBatchDistillerParallel:
     def _triples(self, n=6):

@@ -12,12 +12,8 @@ from __future__ import annotations
 import http.server
 import json
 import os
-import signal
 import socket
-import subprocess
-import sys
 import tempfile
-import textwrap
 import threading
 import time
 import urllib.error
@@ -26,7 +22,6 @@ import urllib.request
 import pytest
 
 from repro.core.batch import BatchDistiller
-from repro.engine.snapshot import PipelineSnapshot
 from repro.faults import (
     ENV_VAR,
     CircuitBreaker,
@@ -451,108 +446,6 @@ class TestRetrievalDegradation:
             server.shutdown()
             server.server_close()
             service.close()
-
-
-# -------------------------------------------------------- snapshot plane
-
-
-class TestSnapshotFaults:
-    def test_attach_fault_site(self):
-        snap = PipelineSnapshot({"a": b"x"}, use_shared_memory=False)
-        try:
-            plan = FaultPlan(
-                (FaultSpec(site="snapshot.attach", action="raise", times=1),)
-            )
-            with injected(plan):
-                with pytest.raises(FaultInjected):
-                    PipelineSnapshot.attach(snap.handle)
-                # One-shot: the retry (a respawned worker) succeeds.
-                again = PipelineSnapshot.attach(snap.handle)
-            assert again.section("a") == b"x"
-        finally:
-            snap.close(unlink=True)
-
-    @pytest.mark.chaos
-    def test_sigterm_unlinks_owned_segment(self, tmp_path):
-        """A coordinator dying to SIGTERM must not leak /dev/shm segments."""
-        script = textwrap.dedent(
-            """
-            import time
-            from repro.engine.snapshot import PipelineSnapshot
-            snap = PipelineSnapshot({"a": b"x" * 4096})
-            print(snap.shm_name or "", flush=True)
-            time.sleep(60)
-            """
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        try:
-            name = proc.stdout.readline().strip()
-            if not name:
-                pytest.skip("shared memory unavailable on this platform")
-            segment = f"/dev/shm/{name}"
-            if not os.path.exists(segment):
-                pytest.skip("/dev/shm not visible on this platform")
-            proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=10)
-            assert not os.path.exists(segment), "segment leaked past SIGTERM"
-            # The leak guard chains to the default action: the process
-            # must still report a signal death, not a clean exit.
-            assert proc.returncode != 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(timeout=10)
-
-    @pytest.mark.chaos
-    def test_forked_child_sigterm_does_not_unlink(self):
-        """Ownership is per-PID: a fork-inherited copy of the registry in a
-        dying worker must NOT unlink the coordinator's live segment (the
-        exact failure mode of a broken process pool being torn down)."""
-        script = textwrap.dedent(
-            """
-            import os, signal, sys, time
-            from repro.engine.snapshot import PipelineSnapshot
-            snap = PipelineSnapshot({"a": b"x" * 4096})
-            if snap.shm_name is None:
-                print("SKIP", flush=True)
-                sys.exit(0)
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                # Inherits _OWNED + the SIGTERM handler; tell the parent
-                # we are in steady state, then wait to be killed.
-                os.write(write_fd, b"x")
-                time.sleep(60)
-                os._exit(0)
-            os.read(read_fd, 1)
-            os.kill(pid, signal.SIGTERM)
-            os.waitpid(pid, 0)
-            alive = os.path.exists(f"/dev/shm/{snap.shm_name}")
-            print("ALIVE" if alive else "GONE", flush=True)
-            snap.close(unlink=True)
-            """
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            env={**os.environ, "PYTHONPATH": "src"},
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        verdict = result.stdout.strip().splitlines()[-1] if result.stdout else ""
-        if verdict == "SKIP":
-            pytest.skip("shared memory unavailable on this platform")
-        assert verdict == "ALIVE", (
-            "a SIGTERMed forked child unlinked the parent's live segment: "
-            f"stdout={result.stdout!r} stderr={result.stderr!r}"
-        )
 
 
 # ---------------------------------------------------------- crash recovery

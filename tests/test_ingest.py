@@ -17,8 +17,9 @@ The load-bearing contracts, each pinned here:
   recoverable: no acknowledged write is lost, tombstoned documents are
   never returned, and post-recovery results equal an independent offline
   rebuild (chaos-marked);
-* a post-compaction snapshot refresh re-hydrates the existing process
-  pool (same worker pids, bumped generation) without a respawn.
+* a served process pool answers ``/ask`` and ``/distill`` byte-identically
+  to a serial service across ingest, delete and compaction, with no
+  refresh of its workers.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from repro.retrieval import (
     save_index,
     save_segment,
 )
+from tests.conftest import QA_CASES
 
 wal_replay = WriteAheadLog.replay
 
@@ -316,16 +318,6 @@ class TestIngestManager:
             manager.add_documents(["payload record one token1"])
             assert manager.generation == 1
             assert manager.wal_bytes() == 0
-
-    def test_on_compact_hook_fires_with_generation(self, tmp_path):
-        generations: list[int] = []
-        with IngestManager.open(
-            tmp_path, base_corpus=SEED, on_compact=generations.append
-        ) as manager:
-            manager.add_documents(["payload record zero token0"])
-            manager.compact()
-            manager.compact()
-        assert generations == [1, 2]
 
     def test_acked_writes_are_on_disk_before_return(self, tmp_path):
         with IngestManager.open(tmp_path, base_corpus=SEED) as manager:
@@ -701,6 +693,52 @@ class TestIngestHTTP:
             # The retriever kept its (rebased-in-place) mutable index.
             hits = service.retriever.retrieve("payload token1", k=2)
             assert hits
+
+    def test_pooled_service_matches_serial_after_writes(
+        self, artifacts, tmp_path
+    ):
+        # Pool workers hold the pipeline they forked with; /ask retrieves
+        # in the coordinator, so ingest, delete and compaction never need
+        # to reach them.  Every payload equals the serial service's.
+        from repro import GCED
+        from repro.service import DistillService, ServiceConfig
+
+        def payloads(workers: int) -> list[str]:
+            gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+            with DistillService(
+                gced,
+                config=ServiceConfig(
+                    workers=workers,
+                    max_wait_ms=1,
+                    ingest_dir=str(tmp_path / f"workers-{workers}"),
+                ),
+                retriever=CorpusRetriever.build(SEED, n_shards=2),
+            ) as service:
+                added = service.ingest_dicts(
+                    [
+                        "the carolina panthers lost the super bowl title",
+                        "william the conqueror won the battle of hastings",
+                    ]
+                )
+                service.delete_doc_dict(1)
+                service.ingest.compact()
+                assert service.ingest.generation == 1
+                assert added["doc_ids"] == [4, 5]
+                outs = [
+                    service.ask_dict(question, answer, k=3)
+                    for question, answer in (
+                        ("Who won the super bowl title?", "broncos"),
+                        ("Who won the battle of hastings?", "william"),
+                    )
+                ]
+                outs += [
+                    service.distill_dict(question, answer, context)
+                    for question, answer, context in QA_CASES[:3]
+                ]
+                assert service.distiller.executor.workers == workers
+            return [json.dumps(out, sort_keys=True) for out in outs]
+
+        assert payloads(2) == payloads(1)
 
     def test_reopened_service_replays_acked_writes(self, artifacts, tmp_path):
         from repro import GCED

@@ -61,7 +61,6 @@ from repro.service.telemetry import (
     ServiceTelemetry,
     project_stats,
 )
-from repro.utils.timing import Timer
 from tests.conftest import CORPUS, QA_CASES
 
 
@@ -180,17 +179,6 @@ class TestTimingFold:
         assert acc.calls == 4
         assert acc.seconds == pytest.approx(1.0)
         assert acc.mean_ms == pytest.approx(250.0)
-
-    def test_timer_still_exposes_dict_views(self):
-        timer = Timer()
-        with timer.measure("parse"):
-            pass
-        with timer.measure("parse"):
-            pass
-        assert timer.counts["parse"] == 2
-        assert "parse" in timer.totals
-        assert timer.totals.get("missing", 0.0) == 0.0
-        assert timer.mean("parse") >= 0.0
 
     def test_stage_timing_is_an_accumulator_with_halts(self):
         timing = StageTiming(calls=2, seconds=0.5, halts=1)
@@ -486,16 +474,12 @@ class TestTracePropagation:
         }
         assert stage_parents <= {s.span_id for s in engine_spans}
 
-    @pytest.mark.parametrize("snapshot", [None, False], ids=["warm", "cold"])
-    def test_process_workers_ship_spans_back(self, artifacts, snapshot):
+    def test_process_workers_ship_spans_back(self, artifacts):
         import os
 
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         cases = QA_CASES[:3]
-        kwargs = {} if snapshot is None else {"snapshot": snapshot}
-        with BatchDistiller(
-            gced, workers=2, backend="process", **kwargs
-        ) as batch:
+        with BatchDistiller(gced, workers=2, backend="process") as batch:
             with start_trace("parent") as handle:
                 results = batch.distill_many(cases)
         assert all(r is not None for r in results)
@@ -528,9 +512,7 @@ class TestTracePropagation:
 
     def test_untraced_process_run_ships_no_spans(self, artifacts):
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        with BatchDistiller(
-            gced, workers=2, backend="process", snapshot=False
-        ) as batch:
+        with BatchDistiller(gced, workers=2, backend="process") as batch:
             results = batch.distill_many(QA_CASES[:2])
         assert all(r is not None for r in results)
         assert obs_trace.current() is None
@@ -743,9 +725,7 @@ class TestStatsProjection:
 
     def test_every_sample_is_its_rows_stats_value(self, projected_stats):
         families = project_stats(projected_stats)
-        assert {f.name for f in families} == set(self.ROWS) - {
-            "gced_snapshot_bytes",
-        }
+        assert {f.name for f in families} == set(self.ROWS)
         for family in families:
             name, type_, help_, source = self.ROWS[family.name]
             assert (family.type, family.help) == (type_, help_)
@@ -766,13 +746,11 @@ class TestStatsProjection:
         stats = dict(projected_stats)
         stats["ingest"] = None
         stats["faults"] = dict(stats["faults"], retrieval=None, plan=None)
-        stats["snapshot"] = {"bytes": 7}
         by_name = {f.name: f for f in project_stats(stats)}
         assert not any(name.startswith("gced_ingest_") for name in by_name)
         assert "gced_faults_injected_total" not in by_name
         breakers = by_name["gced_breaker_state"].samples
         assert [s.labels for s in breakers] == [(("breaker", "process_pool"),)]
-        assert by_name["gced_snapshot_bytes"].samples[0].value == 7
 
     def test_docs_list_exactly_the_exported_families(self, served_obs):
         service, _client = served_obs

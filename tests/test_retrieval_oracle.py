@@ -243,11 +243,7 @@ PINNED_DOCS = [
 ]
 INDEX_SHA256 = "9841bc52ce4e60cd1250c0aebd891968629b012b7200d9698c087d8573e81f75"
 SEGMENT_SHA256 = "94983039f2b092cebc23943b17671b0481b9e53c3d7b4328beb0753b1d5e0725"
-SNAPSHOT_SHA256 = "1f38b9cd5fc51f3205259d2159b34bb0a18220a1baaf299aa4fcfb5bed6b214b"
 SCORES_SHA256 = "f9eb5d1faf2aa6acbe31d974b0d192d6f539b4199eecc5158deea07ea2c72008"
-INDEX_SNAPSHOT_SHA256 = (
-    "691ca809bc5f457ca5351f4322ad77b52b96ffedfa7d64b3c0f261ecdb5d2199"
-)
 
 
 def _pinned_state() -> tuple[InvertedIndex, MutableInvertedIndex, Segment]:
@@ -276,12 +272,10 @@ def _sha256(text: str | bytes) -> str:
 
 
 class TestPersistedBytes:
-    def test_v1_v2_and_snapshot_digests_are_pinned(self):
-        index, live, segment = _pinned_state()
+    def test_v1_v2_digests_are_pinned(self):
+        index, _live, segment = _pinned_state()
         assert _sha256(index_to_json(index)) == INDEX_SHA256
         assert _sha256(segment_to_json(segment)) == SEGMENT_SHA256
-        assert _sha256(live.to_snapshot_bytes()) == SNAPSHOT_SHA256
-        assert _sha256(index.to_snapshot_bytes()) == INDEX_SNAPSHOT_SHA256
 
     def test_files_written_by_the_previous_index_still_load(self):
         live = _pinned_state()[1]

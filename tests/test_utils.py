@@ -1,11 +1,10 @@
-"""Unit tests for utilities: rng, cache, timing."""
+"""Unit tests for utilities: rng and cache."""
 
 import threading
-import time
 
 import pytest
 
-from repro.utils import LRUCache, Timer, derive_seed, memoize_method, rng_from
+from repro.utils import LRUCache, derive_seed, memoize_method, rng_from
 
 
 class TestDeriveSeed:
@@ -212,16 +211,3 @@ class TestMemoizeMethod:
         assert t1.compute(3) == 6
         assert t2.compute(3) == 6
         assert calls == [3, 3]  # once per instance
-
-
-class TestTimer:
-    def test_measures_and_reports(self):
-        timer = Timer()
-        with timer.measure("stage"):
-            time.sleep(0.01)
-        assert timer.totals["stage"] >= 0.01
-        assert timer.counts["stage"] == 1
-        assert "stage" in timer.report()
-
-    def test_mean_of_unmeasured(self):
-        assert Timer().mean("nothing") == 0.0
