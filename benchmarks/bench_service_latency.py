@@ -3,10 +3,14 @@
 Starts the real HTTP serving stack (``DistillService`` + micro-batching
 scheduler + stdlib threading server) on an ephemeral localhost port, then
 replays a fixed dev-set sample through :class:`ServiceClient` workers at
-each concurrency level.  Before each level the distiller's result memo is
-cleared (stage caches stay warm), so every request does full pipeline
-work and the levels are comparable; a warmup pass first takes the
-one-time cache-filling cost out of the measurement.
+each concurrency level.  The client keeps one keep-alive connection per
+worker thread, the transport production clients use.  Each level
+replays its request list ``N_PASSES`` (7) times and reports the
+median pass rate, so one noisy pass does not set the gated
+number.  Before each pass the distiller's result memo is cleared (stage
+caches stay warm), so every request does full pipeline work and the
+levels are comparable; a warmup pass first takes the one-time
+cache-filling cost out of the measurement.
 
 Metrics land in ``benchmarks/results/service_latency.{txt,json}``; the
 JSON feeds CI's perf gate (``benchmarks/perf_gate.py``).
@@ -14,6 +18,7 @@ JSON feeds CI's perf gate (``benchmarks/perf_gate.py``).
 
 from __future__ import annotations
 
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +26,8 @@ from benchmarks.common import N_DEV, N_TRAIN, SEED, emit, emit_json, sample_size
 
 CONCURRENCY_LEVELS = (1, 4, 16)
 N_REQUESTS = sample_size("BENCH_SERVICE_REQUESTS", 24)
+# Passes per level; the gated req/s is the median pass.
+N_PASSES = 7
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -30,8 +37,9 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[index]
 
 
-def _measure_level(client, triples, concurrency: int) -> dict:
+def _measure_level(service, client, triples, concurrency: int) -> dict:
     latencies: list[float] = []
+    pass_rates: list[float] = []
 
     def one(triple) -> None:
         started = time.perf_counter()
@@ -39,17 +47,23 @@ def _measure_level(client, triples, concurrency: int) -> dict:
         latencies.append(time.perf_counter() - started)
         assert "evidence" in payload
 
-    started = time.perf_counter()
+    # One pool per level: its threads keep their connections across passes.
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        list(pool.map(one, triples))
-    elapsed = time.perf_counter() - started
+        for _ in range(N_PASSES):
+            # Fresh memo per pass: every request pays full pipeline cost.
+            service.distiller._results.clear()
+            started = time.perf_counter()
+            list(pool.map(one, triples))
+            pass_rates.append(len(triples) / (time.perf_counter() - started))
     latencies.sort()
     return {
         "concurrency": concurrency,
         "requests": len(triples),
+        "passes": N_PASSES,
         "p50_ms": round(1000 * _percentile(latencies, 0.50), 2),
         "p95_ms": round(1000 * _percentile(latencies, 0.95), 2),
-        "req_per_sec": round(len(triples) / elapsed, 2),
+        "req_per_sec": round(statistics.median(pass_rates), 2),
+        "pass_req_per_sec": [round(rate, 2) for rate in pass_rates],
     }
 
 
@@ -83,27 +97,28 @@ def test_service_latency():
         for triple in triples:  # warm the shared stage caches once
             client.distill(*triple)
         for concurrency in CONCURRENCY_LEVELS:
-            # Fresh memo per level: every request pays full pipeline cost.
-            service.distiller._results.clear()
-            rows.append(_measure_level(client, triples, concurrency))
+            rows.append(_measure_level(service, client, triples, concurrency))
         stats = client.stats()
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         service.close()
 
-    assert stats["scheduler"]["completed"] >= len(CONCURRENCY_LEVELS) * len(
-        triples
-    )
+    assert stats["scheduler"]["completed"] >= N_PASSES * len(
+        CONCURRENCY_LEVELS
+    ) * len(triples)
 
     lines = [
         "service latency/throughput, HTTP + micro-batching on squad11 "
-        f"({N_REQUESTS} requests per level)"
+        f"({N_REQUESTS} requests x {N_PASSES} passes per level, keep-alive; "
+        "req/s = median pass)"
     ]
     for row in rows:
         lines.append(
             f"  c={row['concurrency']:<3d} p50={row['p50_ms']:>8.2f}ms "
-            f"p95={row['p95_ms']:>8.2f}ms  {row['req_per_sec']:>7.2f} req/s"
+            f"p95={row['p95_ms']:>8.2f}ms  {row['req_per_sec']:>7.2f} req/s  "
+            f"passes {row['pass_req_per_sec']}"
         )
     batches = stats["scheduler"]["batches"]
     served = stats["scheduler"]["completed"]
@@ -116,6 +131,7 @@ def test_service_latency():
         "service_latency",
         {
             "requests_per_level": N_REQUESTS,
+            "passes_per_level": N_PASSES,
             "levels": rows,
             "scheduler": stats["scheduler"],
             "metrics": {

@@ -234,6 +234,7 @@ def test_service_saturation():
         )
         scheduler = client.stats()["scheduler"]
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         service.close()

@@ -558,9 +558,17 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+# A keep-alive memo hit waits out the scheduler window, then one HTTP
+# exchange.  This slack over the window leaves room for a shared CPU but
+# not for a Nagle stall, which adds ~40 ms to every response.
+KEEPALIVE_MEMO_HIT_SLACK_MS = 10.0
+
+
 def _serve_self_test(service) -> int:
     """End-to-end smoke: serve, hit every endpoint, verify byte-identity."""
     import json
+    import statistics
+    import time
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.serialize import result_to_dict
@@ -598,6 +606,22 @@ def _serve_self_test(service) -> int:
                 failures.append(
                     f"served result diverged for {example.question!r}"
                 )
+
+        # Memo hits over the client's keep-alive connection.
+        memo_hit_ms = []
+        for _ in range(20):
+            started = time.perf_counter()
+            client.distill(
+                examples[0].question, examples[0].primary_answer, examples[0].context
+            )
+            memo_hit_ms.append(1000.0 * (time.perf_counter() - started))
+        memo_hit_p50 = statistics.median(memo_hit_ms)
+        bound = service.config.max_wait_ms + KEEPALIVE_MEMO_HIT_SLACK_MS
+        if memo_hit_p50 >= bound:
+            failures.append(
+                f"keep-alive memo hit p50 {memo_hit_p50:.1f} ms is not under "
+                f"{bound:.1f} ms (a stalled response write?)"
+            )
 
         batch = client.distill_batch(
             [
@@ -742,6 +766,7 @@ def _serve_self_test(service) -> int:
                     f"504 body was not parseable JSON: {exc.payload!r}"
                 )
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         service.close()
@@ -752,7 +777,8 @@ def _serve_self_test(service) -> int:
         return 1
     print(
         f"self-test ok: {len(served)} concurrent /distill requests "
-        "byte-identical to single-shot GCED.distill; /ask matched inline "
+        "byte-identical to single-shot GCED.distill; keep-alive memo hit "
+        f"p50 {memo_hit_p50:.1f} ms; /ask matched inline "
         "open-context distillation (fat and paged); /batch isolated the "
         "poisoned request; /healthz and /stats healthy; /metrics valid "
         "and consistent with /stats; X-Trace-Id honored and echoed; "

@@ -11,6 +11,13 @@ Transport failures (connection refused, socket timeout mid-body,
 malformed response JSON) surface as :class:`ServiceError` with
 ``status == 0`` so callers handle every failure through one type.
 
+Transport: every request goes over a keep-alive HTTP/1.1 connection,
+one per calling thread, opened on first use.  A transport error or an
+unreadable body closes that thread's connection and the next request
+reconnects; the failed request itself is never resent behind the
+caller's back (``/ingest`` is not idempotent) — resending is the
+:class:`RetryPolicy`'s decision alone.
+
 Retries are opt-in: pass a :class:`RetryPolicy` and the client retries
 retryable statuses (and transport failures) with capped exponential
 backoff.  The jitter is *deterministic* — derived from the client id and
@@ -24,9 +31,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import weakref
 import zlib
 from dataclasses import dataclass
 from typing import Iterator
@@ -153,8 +160,9 @@ class ServiceClient:
             answers ``504`` when it runs out.
         sleep: injectable sleep for tests; defaults to ``time.sleep``.
 
-    Thread safety: the client keeps no mutable state, so one instance
-    may be shared across any number of threads.
+    Thread safety: one instance may be shared across any number of
+    threads; each thread talks over its own keep-alive connection.
+    :meth:`close` closes them all.
     """
 
     def __init__(
@@ -176,6 +184,44 @@ class ServiceClient:
         self.retry = retry
         self.deadline_ms = deadline_ms
         self._sleep = sleep
+        scheme, _, rest = self.base_url.partition("://")
+        if scheme not in ("http", "https"):
+            raise ValueError(f"base_url must be http:// or https://: {base_url!r}")
+        self._netloc, slash, prefix = rest.partition("/")
+        self._prefix = slash + prefix
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._local = threading.local()
+        # Every thread's connection, so close() can reach them all; weak,
+        # so a finished thread's connection is freed with its thread.
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the keep-alive connection of every thread.
+
+        Call it when no request is in flight.  The client stays usable:
+        a later request opens a fresh connection.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            connection.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's keep-alive connection, created on first use."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(
+                self._netloc, timeout=self.timeout
+            )
+            self._local.connection = connection
+            with self._connections_lock:
+                self._connections.add(connection)
+        return connection
 
     # ----------------------------------------------------------- plumbing
     def _request(
@@ -217,7 +263,6 @@ class ServiceClient:
         deadline_ms: float | None,
         method: str | None = None,
     ):
-        url = f"{self.base_url}{path}"
         data = None
         headers = {"Accept": "application/json"}
         if self.client_id:
@@ -230,49 +275,49 @@ class ServiceClient:
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            url, data=data, headers=headers, method=method
-        )
+        method = method or ("POST" if data is not None else "GET")
+        connection = self._connection()
         trace_id = None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                trace_id = resp.headers.get("X-Trace-Id")
+            # A closed connection (first use, or dropped after an error
+            # or a server "Connection: close") reconnects here.
+            connection.request(
+                method, self._prefix + path, body=data, headers=headers
+            )
+            with connection.getresponse() as resp:
+                trace_id = resp.getheader("X-Trace-Id")
                 body = resp.read()
-                return body.decode("utf-8") if raw else json.loads(body)
-        except urllib.error.HTTPError as exc:
-            trace_id = exc.headers.get("X-Trace-Id") if exc.headers else None
+        except (OSError, http.client.HTTPException) as exc:
+            # Connection refused, socket timeout, reset, or a truncated
+            # read — before the status line or mid-body.  The stream is
+            # out of step, so drop the connection; no HTTP status exists.
+            connection.close()
+            raise ServiceError(
+                0,
+                {"error": f"transport error: {exc or type(exc).__name__}"},
+                trace_id=trace_id,
+            ) from None
+        if not 200 <= resp.status < 300:
             try:
-                body = json.loads(exc.read())
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                body = {"error": exc.reason}
+                error_body = json.loads(body)
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                error_body = {"error": resp.reason}
             retry_after = None
-            header = exc.headers.get("Retry-After") if exc.headers else None
+            header = resp.getheader("Retry-After")
             if header is not None:
                 try:
                     retry_after = float(header)
                 except ValueError:
                     pass
             raise ServiceError(
-                exc.code, body, retry_after, trace_id=trace_id
-            ) from None
-        except urllib.error.URLError as exc:
-            # Connection refused, DNS failure, TLS errors, or a socket
-            # timeout before the response line: no HTTP status exists.
-            raise ServiceError(
-                0, {"error": f"transport error: {exc.reason}"}
-            ) from None
-        except (TimeoutError, ConnectionError, http.client.HTTPException) as exc:
-            # Socket timeout, connection reset, or truncated read
-            # *mid-body*: the status line arrived but the payload never
-            # finished.
-            raise ServiceError(
-                0,
-                {"error": f"transport error: {exc or type(exc).__name__}"},
-                trace_id=trace_id,
-            ) from None
+                resp.status, error_body, retry_after, trace_id=trace_id
+            )
+        try:
+            return body.decode("utf-8") if raw else json.loads(body)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            # A 200 whose body is not the JSON it claims to be —
+            # A 2xx whose body is not the JSON it claims to be —
             # truncated by a dying server or corrupted in transit.
+            connection.close()
             raise ServiceError(
                 0,
                 {"error": f"malformed response body: {exc}"},

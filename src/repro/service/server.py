@@ -68,12 +68,16 @@ request can be correlated with its trace and logs.
 
 Thread safety: ``ThreadingHTTPServer`` gives every connection its own
 handler thread; handlers only touch the service's thread-safe surface.
+
+Transport: HTTP/1.1 keep-alive.  Each response leaves in one write on a
+``TCP_NODELAY`` socket, so it never waits on the client's delayed ACK.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -123,6 +127,10 @@ class DistillHTTPServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # listen() backlog.  socketserver's default of 5 drops the SYNs of a
+    # burst of new connections (16 clients connecting at once), and each
+    # dropped client waits out the kernel's 1 s SYN retransmit.
+    request_queue_size = 128
 
     def __init__(
         self,
@@ -133,14 +141,49 @@ class DistillHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _DistillHandler)
         self.service = service
         self.quiet = quiet
+        # Accepted sockets whose handler thread is still running.
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Stop listening and end every open keep-alive connection.
+
+        A handler thread outlives ``serve_forever()``: without this, a
+        client's idle keep-alive connection would still be served after
+        the server (and perhaps its service) closed.
+        """
+        super().server_close()
+        with self._open_lock:
+            open_sockets = list(self._open)
+        for sock in open_sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)  # the handler reads EOF
+            except OSError:
+                pass  # already closed by its handler
 
 
 class _DistillHandler(BaseHTTPRequestHandler):
     server: DistillHTTPServer
 
-    # Keep-alive lets benchmark clients reuse connections; every response
-    # sets Content-Length so this is safe.
+    # Keep-alive lets clients reuse connections; every response sets
+    # Content-Length so this is safe.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on every accepted socket.  Our own responses already
+    # leave in one write (see _send_bytes); this covers the ones
+    # BaseHTTPRequestHandler writes itself (send_error on a malformed
+    # request line), whose body would otherwise wait on the peer's
+    # delayed ACK under Nagle's algorithm (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> DistillService:
@@ -606,8 +649,14 @@ class _DistillHandler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # no status line or headers in 0.9
+            return
+        # end_headers() + wfile.write(body) would be two send() calls;
+        # join the buffered status line and headers with the body so the
+        # whole response leaves in one write.
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def log_message(self, format: str, *args) -> None:
         if not self.server.quiet:

@@ -569,6 +569,7 @@ def served(gced):
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}", timeout=30)
     yield service, client
+    client.close()
     server.shutdown()
     server.server_close()
     service.close()
@@ -645,11 +646,13 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
 
     behaviors: list[str] = []
     calls = 0
+    ports: list[int] = []  # client port of each call
 
     def _respond(self):
         cls = type(self)
         behavior = cls.behaviors[min(cls.calls, len(cls.behaviors) - 1)]
         cls.calls += 1
+        cls.ports.append(self.client_address[1])
         if behavior == "ok":
             body = json.dumps({"ok": True}).encode()
             self.send_response(200)
@@ -680,6 +683,8 @@ class _StubHandler(http.server.BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b'{"partial": ')  # then never finish
             time.sleep(2.0)
+        elif behavior == "drop":
+            self.close_connection = True  # hang up without a response
 
     do_GET = _respond
     do_POST = _respond
@@ -693,9 +698,16 @@ def stub_server():
     """A scripted HTTP server; yields a factory binding behaviors to a URL."""
     servers = []
 
-    def make(behaviors):
+    def make(behaviors, protocol_version="HTTP/1.0"):
         handler = type(
-            "Handler", (_StubHandler,), {"behaviors": behaviors, "calls": 0}
+            "Handler",
+            (_StubHandler,),
+            {
+                "behaviors": behaviors,
+                "calls": 0,
+                "ports": [],
+                "protocol_version": protocol_version,
+            },
         )
         server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
         threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -780,6 +792,47 @@ class TestClientErrorPaths:
         assert excinfo.value.status == 429
         assert handler.calls == 3  # 1 + 2 retries
         assert len(sleeps) == 2
+
+
+class TestClientKeepAlive:
+    """The client's per-thread keep-alive connection against an HTTP/1.1
+    stub (the HTTP/1.0 stub above closes after every response)."""
+
+    def test_sequential_calls_share_one_connection(self, stub_server):
+        url, handler = stub_server(["ok"], protocol_version="HTTP/1.1")
+        client = ServiceClient(url, timeout=5)
+        for _ in range(4):
+            assert client.healthz() == {"ok": True}
+        client.close()
+        assert len(handler.ports) == 4 and len(set(handler.ports)) == 1
+
+    def test_next_call_succeeds_after_a_stall_times_out(self, stub_server):
+        url, handler = stub_server(
+            ["stall", "ok", "ok"], protocol_version="HTTP/1.1"
+        )
+        client = ServiceClient(url, timeout=0.3)
+        with pytest.raises(ServiceError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 0
+        assert client.healthz() == {"ok": True}
+        assert client.healthz() == {"ok": True}
+        client.close()
+        # The stalled connection was dropped; the next two share a new one.
+        assert handler.ports[0] != handler.ports[1] == handler.ports[2]
+
+    def test_hang_up_is_never_resent_silently(self, stub_server):
+        url, handler = stub_server(
+            ["ok", "drop", "ok"], protocol_version="HTTP/1.1"
+        )
+        client = ServiceClient(url, timeout=5)
+        assert client.healthz() == {"ok": True}
+        with pytest.raises(ServiceError) as excinfo:
+            client.ingest(["not idempotent"])
+        assert excinfo.value.status == 0
+        assert handler.calls == 2  # the dropped request went out once
+        assert client.healthz() == {"ok": True}
+        client.close()
+        assert handler.ports[0] == handler.ports[1] != handler.ports[2]
 
 
 class TestRetryPolicy:

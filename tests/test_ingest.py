@@ -583,6 +583,7 @@ def ingest_served(artifacts, tmp_path_factory):
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")
     yield service, client
+    client.close()
     server.shutdown()
     server.server_close()
     service.close()

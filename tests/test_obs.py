@@ -552,6 +552,7 @@ def served_obs(artifacts):
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")
     yield service, client
+    client.close()
     server.shutdown()
     server.server_close()
     service.close()

@@ -10,16 +10,22 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import http.client
 import json
+import socket
+import statistics
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro import GCED
+from repro.cli import KEEPALIVE_MEMO_HIT_SLACK_MS
 from repro.core.batch import BatchDistiller
 from repro.core.open_context import build_outcome
 from repro.core.serialize import result_to_dict
@@ -38,6 +44,7 @@ from repro.service import (
     encode_cursor,
     start_server,
 )
+from repro.service.server import _DistillHandler
 from tests.conftest import CORPUS, QA_CASES
 
 POISON = "__poison__"
@@ -564,6 +571,7 @@ def served(artifacts):
     host, port = server.server_address[:2]
     client = ServiceClient(f"http://{host}:{port}")
     yield service, client
+    client.close()
     server.shutdown()
     server.server_close()
     service.close()
@@ -693,6 +701,226 @@ class TestHTTPServer:
             )
         assert excinfo.value.code == 405
         assert excinfo.value.headers.get("Allow") == "GET"
+
+
+@pytest.fixture(scope="module")
+def transport(artifacts):
+    """A served service on the default serving config (5 ms window)."""
+    gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+    service = DistillService(gced, config=ServiceConfig())
+    server, _thread = start_server(service, quiet=True)
+    host, port = server.server_address[:2]
+    yield service, host, port
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+@pytest.fixture
+def peer_ports(monkeypatch):
+    """The client port of every request the server routes during a test."""
+    ports: list[int] = []
+    dispatch = _DistillHandler._dispatch
+
+    def recording(self, method):
+        ports.append(self.client_address[1])
+        dispatch(self, method)
+
+    monkeypatch.setattr(_DistillHandler, "_dispatch", recording)
+    return ports
+
+
+class TestHTTPTransport:
+    def test_keepalive_memo_hits_do_not_stall(self, transport):
+        service, host, port = transport
+        question, answer, context = QA_CASES[1]
+        body = json.dumps(
+            {"question": question, "answer": answer, "context": context}
+        )
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+
+        def post() -> float:
+            started = time.perf_counter()
+            connection.request(
+                "POST", "/distill", body, {"Content-Type": "application/json"}
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            return 1000.0 * (time.perf_counter() - started)
+
+        try:
+            post()  # the miss: distill once and memoize
+            hits_before = service.distiller.stats().n_cache_hits
+            latencies = [post() for _ in range(20)]
+        finally:
+            connection.close()
+        assert service.distiller.stats().n_cache_hits - hits_before == 20
+        # A Nagle stall (response written in two sends) adds ~40 ms here.
+        bound = service.config.max_wait_ms + KEEPALIVE_MEMO_HIT_SLACK_MS
+        assert statistics.median(latencies) < bound, latencies
+
+    def test_response_is_one_write_on_a_nodelay_socket(
+        self, transport, monkeypatch
+    ):
+        _service, host, port = transport
+        writes: list[bytes] = []
+        nodelay: list[int] = []
+        setup = _DistillHandler.setup
+
+        def recording_setup(self):
+            setup(self)
+            nodelay.append(
+                self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+            )
+            write = self.wfile.write
+
+            def recording_write(data):
+                writes.append(bytes(data))
+                return write(data)
+
+            self.wfile.write = recording_write
+
+        monkeypatch.setattr(_DistillHandler, "setup", recording_setup)
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        assert client.healthz()["status"] == "ok"
+        assert len(writes) == 1
+        head, _, body = writes[0].partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert f"Content-Length: {len(body)}".encode() in head
+        assert json.loads(body)["status"] == "ok"
+        with pytest.raises(ServiceError):
+            client._request("/nope")  # error responses too
+        assert len(writes) == 2
+        assert writes[1].startswith(b"HTTP/1.1 404 ")
+        client.close()
+        assert nodelay and all(nodelay)
+
+    def test_http09_request_gets_the_bare_body(self, transport):
+        _service, host, port = transport
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(b"GET /healthz\r\n\r\n")  # no version: HTTP/0.9
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        assert json.loads(response)["status"] == "ok"
+
+    def test_connection_burst_is_accepted_without_syn_retries(
+        self, transport
+    ):
+        _service, host, port = transport
+        n_clients = 16
+        barrier = threading.Barrier(n_clients)
+        seconds: list[float] = []
+
+        def connect_and_ask() -> None:
+            barrier.wait(timeout=10)
+            started = time.perf_counter()
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                while sock.recv(65536):
+                    pass
+            seconds.append(time.perf_counter() - started)
+
+        threads = [
+            threading.Thread(target=connect_and_ask) for _ in range(n_clients)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(seconds) == n_clients
+        # A connect whose SYN overflowed the listen backlog retries after
+        # the kernel's 1 s initial retransmission timeout.
+        assert max(seconds) < 0.5, sorted(seconds)
+
+    def test_server_close_ends_idle_keepalive_connections(self, transport):
+        service, _host, _port = transport
+        server, _thread = start_server(service, quiet=True)
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}", timeout=5)
+        before = set(threading.enumerate())
+        assert client.healthz()["status"] == "ok"
+        handlers = [
+            t
+            for t in threading.enumerate()
+            if t not in before and "process_request" in t.name
+        ]
+        assert len(handlers) == 1
+        server.shutdown()
+        server.server_close()
+        # The idle connection is not served after close: the next request
+        # is a transport error (never resent), and so is the reconnect.
+        for _ in range(2):
+            with pytest.raises(ServiceError) as excinfo:
+                client.healthz()
+            assert excinfo.value.status == 0
+        for thread in handlers:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in handlers)
+
+    def test_client_reuses_one_connection_per_thread(
+        self, transport, peer_ports
+    ):
+        _service, host, port = transport
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        for _ in range(5):
+            assert client.healthz()["status"] == "ok"
+        assert len(peer_ports) == 5 and len(set(peer_ports)) == 1
+        client.close()
+        assert client.healthz()["status"] == "ok"  # reconnects after close
+        assert peer_ports[5] != peer_ports[0]
+        client.close()
+
+    def test_each_thread_gets_its_own_connection(self, transport, peer_ports):
+        _service, host, port = transport
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        n_threads, calls = 6, 3  # more threads than cores
+        barrier = threading.Barrier(n_threads)
+        errors: list[BaseException] = []
+
+        def work() -> None:
+            try:
+                client.healthz()
+                barrier.wait(timeout=10)  # every connection open at once
+                for _ in range(calls - 1):
+                    client.healthz()
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        client.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(Counter(peer_ports).values()) == [calls] * n_threads
+
+    def test_reconnects_after_the_server_closes(self, transport, peer_ports):
+        _service, host, port = transport
+        client = ServiceClient(f"http://{host}:{port}", timeout=30)
+        assert client.healthz()["status"] == "ok"
+        # A POST without a body takes the missing/oversized-body 400
+        # path, which answers "Connection: close" and drops the socket.
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("/distill", method="POST")
+        assert excinfo.value.status == 400
+        assert client.healthz()["status"] == "ok"
+        client.close()
+        assert peer_ports[0] == peer_ports[1] != peer_ports[2]
 
 
 class TestAskEndpoint:
