@@ -1,46 +1,43 @@
 """Hot-path profile of the distillation stages — gates the clip search.
 
-Runs a cold pipeline over a squad11 dev slice, then re-distills the same
-examples through a fresh :class:`BatchDistiller` sharing the warm
-pipeline — the *repeated-context* workload modelling open-context
-re-asks, ablation sweeps, and batch traffic whose finished-results memo
-has aged out.  The full per-stage/per-cache report lands in
+Runs a cold pipeline over a squad11 dev slice and reports per-stage
+timings, then times cold single distillations.  The full
+per-stage/per-cache report lands in
 ``benchmarks/results/distill_profile.txt`` (uploaded as a CI artifact so
 regressions are diagnosable from the workflow run); the JSON metrics
 feed ``benchmarks/perf_gate.py``:
 
 * ``distill.oec_ms`` / ``distill.ase_ms`` — mean stage wall-clock per
-  call on the *cold* pass.  Latency metrics (``*_ms``) gate in the
+  call on the cold pass.  Latency metrics (``*_ms``) gate in the
   *upward* direction, at double the base tolerance to absorb
   runner-hardware variance: the gate fails when they grow more than that
   above baseline.
-* ``distill.clip_scores_per_sec`` — candidate-evidence scoring events
-  (node-set cache lookups) per second of ``oec`` time over the whole
-  workload (cold + repeated); throughput, gated downward like the other
-  ``*_per_sec`` metrics.
-* ``distill.clip_scores_hit_rate`` — shared-cache hit rate of the clip
-  search over the whole workload; gated downward, so a regression back
-  to per-call (non-content-keyed) sessions trips CI.
+* ``distill.cold_ms`` — the median wall-clock of one cold
+  ``GCED.distill`` over at least ``COLD_SECONDS`` of unique squad11
+  triples (train and dev).  Each pass over the triples runs on a fresh
+  pipeline with a fresh compiled-context cache, so no triple is ever
+  distilled twice by one pipeline; the interquartile range is emitted
+  beside it (``cold_distill.iqr_ms``, not gated).
 * ``qa.predict_ms`` / ``qa.predict_prepared_ms`` — mean single
   ``reader.predict`` latency on warm repeated contexts, through the
   compiled-context artifact vs the inline prepared path (compiler
   disabled); both gate upward.
 
 The JSON payload also carries the parse / informativeness /
-compiled-context hit rates and a ``repeated`` block with the
-repeated-pass cache deltas; the repeated-context ``clip_scores`` hit
-rate being 0% is a hard failure (cross-call session reuse broke), both
-here and as a CI check on the uploaded artifact.
+compiled-context hit rates of the cold pass.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from benchmarks.common import emit, emit_json, get_context, sample_size
 
 N_EXAMPLES = sample_size("BENCH_N_EXAMPLES", 16)
 N_PREDICT_ROUNDS = sample_size("BENCH_PREDICT_ROUNDS", 5)
+# Minimum measured time behind distill.cold_ms.
+COLD_SECONDS = 1.0
 
 
 def _cache_counts(gced) -> dict[str, tuple[int, int]]:
@@ -97,6 +94,36 @@ def _predict_ms(reader, pairs, rounds: int) -> float:
     return 1000.0 * elapsed / (rounds * len(pairs))
 
 
+def _cold_distill_ms(ctx) -> list[float]:
+    """Per-triple wall-clock of cold ``GCED.distill`` calls, in ms.
+
+    Passes over the unique answerable squad11 triples until at least
+    ``COLD_SECONDS`` are measured; every pass builds a fresh pipeline and
+    compiled-context cache, so each timed call is a first encounter.
+    """
+    from repro.core.pipeline import GCED
+    from repro.qa.compiled import ContextCompiler
+
+    examples = ctx.dataset.train + ctx.dataset.answerable_dev()
+    triples = list(
+        dict.fromkeys(
+            (e.question, e.primary_answer, e.context)
+            for e in examples
+            if e.primary_answer
+        )
+    )
+    reader = ctx.artifacts.reader
+    timings: list[float] = []
+    while sum(timings) < 1000.0 * COLD_SECONDS:
+        reader.context_compiler = ContextCompiler()
+        gced = GCED(qa_model=reader, artifacts=ctx.artifacts)
+        for triple in triples:
+            started = time.perf_counter()
+            gced.distill(*triple)
+            timings.append(1000.0 * (time.perf_counter() - started))
+    return timings
+
+
 def test_distill_stage_profile():
     from repro.core import BatchDistiller
     from repro.core.pipeline import GCED
@@ -132,41 +159,10 @@ def test_distill_stage_profile():
         cold_oec_ms = cold_oec.mean_ms
         cold_ase_ms = cold_ase.mean_ms
 
-        # Repeated-context pass: a fresh distiller defeats the results
-        # memo, so every example re-runs the stage plan against warm
-        # content-keyed sessions and compiled contexts.
-        with BatchDistiller(gced) as repeat:
-            repeated = repeat.distill_examples(examples)
-        assert [r.evidence for r in repeated] == [
-            r.evidence for r in results
-        ]
-        repeat_delta = _delta(_cache_counts(gced), cold_counts)
-        # Cross-call session reuse is the point of the repeated workload:
-        # a 0% clip_scores hit rate means sessions went back to per-call.
-        assert repeat_delta["clip_scores"]["hits"] > 0, (
-            "repeated-context workload produced no clip_scores cache "
-            "hits — cross-call session reuse is broken"
-        )
-
-        # Cumulative profile over both passes: stage timings and shared-
-        # cache counters accumulate on the shared pipeline, so the repeat
-        # distiller's stats view already covers the whole workload.
-        profile = repeat.stats().profile
-        total_oec = gced.profile.stages["oec"]
-        clip_cache = gced.scoring_engine.cache.snapshot()
-        clip_lookups = clip_cache.hits + clip_cache.misses
-        clip_scores_per_sec = (
-            round(clip_lookups / total_oec.seconds, 2)
-            if total_oec.seconds
-            else 0.0
-        )
-        clip_hit_rate = (
-            round(clip_cache.hits / clip_lookups, 4) if clip_lookups else 0.0
-        )
+        profile = batch.stats().profile
 
         # Warm single-predict latency: compiled artifact vs inline
-        # prepared path, on the question/paragraph mix the repeated
-        # workload serves.
+        # prepared path, on the cold pass's question/paragraph mix.
         pairs = [(e.question, e.context) for e in examples[:8]]
         predict_compiled_ms = _predict_ms(reader, pairs, N_PREDICT_ROUNDS)
         reader.context_compiler = None
@@ -174,30 +170,34 @@ def test_distill_stage_profile():
 
         hit_rates = {
             name: stats["hit_rate"]
-            for name, stats in _delta(_cache_counts(gced), {}).items()
-            if name in ("clip_scores", "parse", "informativeness",
-                        "compiled_contexts", "clip_sessions")
+            for name, stats in _delta(cold_counts, {}).items()
+            if name in ("parse", "informativeness", "compiled_contexts")
         }
+        cold_ms = _cold_distill_ms(ctx)
     finally:
         reader.context_compiler = saved_compiler
 
+    q1, _median, q3 = statistics.quantiles(cold_ms, n=4)
     emit("distill_profile", profile.report())
     emit_json(
         "distill_profile",
         {
             "examples": len(examples),
-            "repeated_examples": len(examples),
             "stages": {
                 name: timing.to_dict()
                 for name, timing in profile.stages.items()
             },
             "cache_hit_rates": hit_rates,
-            "repeated": repeat_delta,
+            "cold_distill": {
+                "calls": len(cold_ms),
+                "seconds": round(sum(cold_ms) / 1000.0, 3),
+                "median_ms": round(statistics.median(cold_ms), 3),
+                "iqr_ms": round(q3 - q1, 3),
+            },
             "metrics": {
                 "distill.oec_ms": round(cold_oec_ms, 3),
                 "distill.ase_ms": round(cold_ase_ms, 3),
-                "distill.clip_scores_per_sec": clip_scores_per_sec,
-                "distill.clip_scores_hit_rate": clip_hit_rate,
+                "distill.cold_ms": round(statistics.median(cold_ms), 3),
                 "qa.predict_ms": round(predict_compiled_ms, 3),
                 "qa.predict_prepared_ms": round(predict_prepared_ms, 3),
             },

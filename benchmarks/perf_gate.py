@@ -15,10 +15,8 @@ throughput metrics gate *downward*, and latency metrics — keys ending in
 gate *upward*; so does ``batch.pool_start_ms`` (2-worker pool start
 through the warm-up barrier, from ``bench_batch_throughput.py``).  Size
 metrics — keys ending in ``bytes`` — gate upward like latencies.
-Cache-effectiveness ratios (``distill.clip_scores_hit_rate``)
-gate downward like throughput: losing cross-call session reuse halves
-the hit rate long before wall-clock regressions become visible on small
-CI samples.
+Ratios such as ``service.coalesce_hit_rate`` gate downward like
+throughput.
 
 A few metrics gate against an *absolute* ceiling instead of the
 baseline (``ABSOLUTE_CEILINGS``): telemetry overhead

@@ -100,7 +100,6 @@ def _worker_distill(triple: Triple) -> tuple[DistillationResult, PipelineProfile
                 hits=snap.hits - hits0,
                 misses=snap.misses - misses0,
                 size=snap.size,
-                bytes=snap.bytes,
             )
         )
     return result, delta

@@ -25,10 +25,9 @@ class GCEDConfig:
             ablations; disabling one redistributes its hybrid weight over
             the remaining criteria ("w/o I" rows of Table VIII).
         incremental_scoring: route the clip search through the
-            node-set-keyed incremental scoring engine
-            (:mod:`repro.core.scoring`).  Outputs are bit-identical with
-            the engine on or off; the switch exists for equivalence tests
-            and debugging.
+            incremental scoring engine (:mod:`repro.core.scoring`).
+            Outputs are bit-identical with the engine on or off; the
+            switch exists for equivalence tests and debugging.
     """
 
     weights: HybridWeights = field(default_factory=HybridWeights)

@@ -52,9 +52,9 @@ class OptimalEvidenceDistiller:
             candidates with the smallest parent-edge weights are evaluated
             first (weak attachments are the likeliest noise), which keeps
             the QA-model calls per example bounded.
-        engine: optional incremental scoring engine.  When present, the
-            clip search scores candidates through node-set-keyed sessions
-            (memoized, incremental metrics, batched QA predictions); when
+        engine: optional incremental scoring engine.  When present, each
+            clip search scores its candidates through one per-call
+            session (incremental metrics, batched QA predictions); when
             ``None``, every candidate is rendered and scored directly.
             Outputs are bit-identical either way.
     """
@@ -204,8 +204,8 @@ class OptimalEvidenceDistiller:
             maximal = maximal[: self.max_clip_candidates]
 
             if session is not None:
-                # One engine call per iteration: node-set memo hits skip
-                # rendering, misses share one batched QA prediction.
+                # One engine call per iteration: the candidates share one
+                # batched QA prediction.
                 all_scores = session.score_many(
                     [frozenset(evidence - sub) for _node, sub in maximal]
                 )

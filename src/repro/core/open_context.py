@@ -143,12 +143,9 @@ def build_outcome(
 class OpenContextDistiller:
     """Retrieves supporting paragraphs and distills the best evidence.
 
-    Open-context traffic is where the cross-call caches earn their keep:
-    popular paragraphs are retrieved for many asks, so their compiled
-    context artifacts (:attr:`compiler`) and content-keyed scoring
-    sessions stay warm across requests — a re-ask of a QA pair whose
-    result memo entry has aged out still skips the per-paragraph
-    span-table and clip-score work.
+    Popular paragraphs are retrieved for many asks, so their compiled
+    context artifacts (:attr:`compiler`) stay warm across requests and
+    a new question over a known paragraph skips its span-table work.
 
     Args:
         distiller: the warm batch distiller every candidate set runs on.

@@ -207,9 +207,6 @@ class GCED:
             "informativeness": self.scorer.informativeness._cache,
             "readability": self.scorer.readability._cache,
         }
-        if self.scoring_engine is not None:
-            caches["clip_scores"] = self.scoring_engine.cache
-            caches["clip_sessions"] = self.scoring_engine.sessions
         if self.compiler is not None:
             caches["compiled_contexts"] = self.compiler.cache
         return {name: cache for name, cache in caches.items() if cache is not None}
@@ -224,7 +221,6 @@ class GCED:
                     hits=snap.hits,
                     misses=snap.misses,
                     size=snap.size,
-                    bytes=snap.bytes,
                 )
             )
         return self.profile

@@ -50,17 +50,12 @@ class StageTiming(TimingAccumulator):
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Hit/miss snapshot of one shared cache.
-
-    ``bytes`` is the cache's estimated memory footprint; it stays 0 for
-    caches bounded by entry count only (no size estimator installed).
-    """
+    """Hit/miss snapshot of one shared cache."""
 
     name: str
     hits: int
     misses: int
     size: int = 0
-    bytes: int = 0
 
     @property
     def lookups(self) -> int:
@@ -82,7 +77,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "size": self.size,
-            "bytes": self.bytes,
             "hit_rate": self.hit_rate,
         }
 
@@ -191,7 +185,6 @@ class PipelineProfile:
                     hits=mine_stats.hits + stats.hits,
                     misses=mine_stats.misses + stats.misses,
                     size=max(mine_stats.size, stats.size),
-                    bytes=max(mine_stats.bytes, stats.bytes),
                 )
 
     # ------------------------------------------------------------ reporting

@@ -6,7 +6,7 @@ candidate-span sets, per-model span-scoring preps — even though real
 workloads (several SQuAD questions per paragraph, ASE re-asking the same
 sentence subsets, open-context re-asks, ablation sweeps) hit the same
 paragraph over and over.  A :class:`CompiledContext` computes each table
-lazily, once per context string, and a content-keyed, byte-bounded
+lazily, once per context string, and a content-keyed
 :class:`ContextCompiler` LRU shares the artifacts across all QA pairs,
 clip iterations, batch examples, and service requests.
 
@@ -16,12 +16,11 @@ the compiler on and off are bit-identical
 (``tests/test_compiled_context.py`` asserts this over randomized
 paragraphs for all four span-scoring models).
 
-Memory contract: :func:`estimate_compiled_bytes` *measures* the tables a
-context has actually materialized, and every lazy fill notifies the
-owning cache (see :meth:`CompiledContext.bind_accounting` /
-:meth:`repro.utils.cache.LRUCache.reaccount`), so the compiler's byte
-budget is an invariant over the measured footprint — not a guess taken
-at insert time.
+Memory: the compiler's LRUs are bounded by entry count only.  Each
+question-keyed table inside an artifact resets above ``_MAX_PREPS``
+entries, so one artifact's footprint is bounded too; the capacities are
+sized from its measured footprint (``docs/performance.md``, "Cache
+bounds").
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from repro.text.sentences import Sentence, split_sentences
 from repro.text.tokenizer import Token, tokenize
 from repro.utils.cache import LRUCache, MISSING
 
-__all__ = ["CompiledContext", "ContextCompiler", "estimate_compiled_bytes"]
+__all__ = ["CompiledContext", "ContextCompiler"]
 
 # Typed span extraction is identical for the three capitalized-run types;
 # sharing one slot avoids recomputing it when PERSON and ENTITY questions
@@ -59,7 +58,7 @@ class CompiledContext:
     Attributes:
         text: the raw context string (the cache key's content).
         tokens: ``tokenize(text)``, computed eagerly — every consumer
-            needs it, and its length drives the byte estimate.
+            needs it.
     """
 
     def __init__(self, text: str) -> None:
@@ -84,27 +83,6 @@ class CompiledContext:
         # whole result memoizes — ASE's subset loop re-asks the same
         # question of the same joined text constantly.
         self._predictions: dict = {}
-        # Owning-cache notification, installed by bind_accounting();
-        # called after every lazy fill so byte accounting stays measured.
-        self._accounting = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        # The accounting binding closes over the owning cache; the
-        # receiving process re-binds when it caches the artifact.
-        state["_accounting"] = None
-        return state
-
-    # -------------------------------------------------------- byte accounting
-    def bind_accounting(self, cache: LRUCache, key) -> None:
-        """Re-measure this artifact in ``cache`` whenever a table fills in."""
-        self._accounting = (cache, key)
-
-    def _grown(self) -> None:
-        binding = self._accounting
-        if binding is not None:
-            cache, key = binding
-            cache.reaccount(key)
 
     # ------------------------------------------------------ context tables
     def sentence_bounds(self, model) -> list[tuple[int, int]]:
@@ -112,7 +90,6 @@ class CompiledContext:
         bounds = self._sentence_bounds
         if bounds is None:
             bounds = self._sentence_bounds = model.sentence_bounds(self.tokens)
-            self._grown()
         return bounds
 
     def pos_tags(self, tagger) -> list[str]:
@@ -124,7 +101,6 @@ class CompiledContext:
         tags = self._tags
         if tags is None:
             tags = self._tags = tagger.tag([t.text for t in self.tokens])
-            self._grown()
         return tags
 
     def _kind_spans(self, kind: str, answer_type: AnswerType) -> frozenset:
@@ -132,7 +108,6 @@ class CompiledContext:
         if spans is None:
             spans = frozenset(candidate_spans(self.tokens, answer_type))
             self._span_kinds[kind] = spans
-            self._grown()
         return spans
 
     def span_sets(
@@ -152,7 +127,6 @@ class CompiledContext:
             if answer_type is AnswerType.ENTITY or not spans:
                 spans = spans | self._kind_spans("phrase", AnswerType.PHRASE)
             cached = self._span_sets[answer_type] = (typed, spans)
-            self._grown()
         return cached
 
     # ----------------------------------------------------- sentence artifacts
@@ -165,7 +139,6 @@ class CompiledContext:
         sents = self._sentences
         if sents is None:
             sents = self._sentences = tuple(split_sentences(self.text))
-            self._grown()
         return sents
 
     def sentence_predictions(self, question: str, factory) -> tuple:
@@ -181,7 +154,6 @@ class CompiledContext:
                 self._sentence_preds.clear()
             preds = tuple(factory())
             self._sentence_preds[question] = preds
-            self._grown()
         return preds
 
     def prediction(self, name: str | None, question: str, factory):
@@ -199,7 +171,6 @@ class CompiledContext:
                 self._predictions.clear()
             pred = factory()
             self._predictions[key] = pred
-            self._grown()
         return pred
 
     # ------------------------------------------------- per-model artifacts
@@ -217,7 +188,6 @@ class CompiledContext:
                 self._preps.clear()
             prep = model.span_prep(profile, self.tokens, compiled=self)
             self._preps[key] = prep
-            self._grown()
         return prep
 
     def derive(self, key, factory):
@@ -227,75 +197,7 @@ class CompiledContext:
         if value is MISSING:
             value = factory()
             self._derived[key] = value
-            self._grown()
         return value
-
-
-def _opaque_bytes(value, depth: int = 0) -> int:
-    """Measured footprint of an opaque prep/derived value.
-
-    Recurses through the container shapes preps actually use (tuples of
-    arrays, dicts of floats) with array buffers measured exactly via
-    ``nbytes``; unknown leaves get a flat object charge.
-    """
-    nbytes = getattr(value, "nbytes", None)
-    if isinstance(nbytes, int):
-        return 16 + nbytes
-    if isinstance(value, str):
-        return 49 + len(value)
-    if isinstance(value, bytes):
-        return 33 + len(value)
-    if value is None or isinstance(value, (int, float, bool)):
-        return 28
-    if depth >= 4:
-        return 64
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return 56 + sum(_opaque_bytes(item, depth + 1) for item in value)
-    if isinstance(value, dict):
-        return 64 + sum(
-            _opaque_bytes(k, depth + 1) + _opaque_bytes(v, depth + 1)
-            for k, v in value.items()
-        )
-    return 128
-
-
-def estimate_compiled_bytes(compiled: CompiledContext) -> int:
-    """Measured footprint of one compiled context's materialized tables.
-
-    Pure function of the tables currently present: called at insert time
-    *and* re-run by :meth:`LRUCache.reaccount` after every lazy fill (see
-    :meth:`CompiledContext.bind_accounting`), so the owning cache's byte
-    accounting always equals this measure over its current values.
-    """
-    total = 256 + len(compiled.text)
-    total += 72 * len(compiled.tokens) + sum(
-        len(token.text) for token in compiled.tokens
-    )
-    if compiled._sentence_bounds is not None:
-        total += 64 + 16 * len(compiled._sentence_bounds)
-    if compiled._tags is not None:
-        total += 64 + 24 * len(compiled._tags)
-    for spans in compiled._span_kinds.values():
-        total += 64 + 80 * len(spans)
-    for typed, spans in compiled._span_sets.values():
-        # The pair usually aliases the kind sets; a distinct union
-        # (ENTITY fallback) is a new frozenset and charged as one.
-        total += 32 if spans is typed else 64 + 80 * len(spans)
-    if compiled._sentences is not None:
-        total += 64 + sum(
-            88 + len(sentence.text) for sentence in compiled._sentences
-        )
-    for question, preds in compiled._sentence_preds.items():
-        total += 56 + len(question) + sum(
-            112 + len(pred.text) for pred in preds
-        )
-    for (name, question), pred in compiled._predictions.items():
-        total += 56 + len(name or "") + len(question) + 112 + len(pred.text)
-    for prep in compiled._preps.values():
-        total += 96 + _opaque_bytes(prep)
-    for value in compiled._derived.values():
-        total += 96 + _opaque_bytes(value)
-    return total
 
 
 class ContextCompiler:
@@ -311,28 +213,17 @@ class ContextCompiler:
     wrongness.
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        max_bytes: int | None = 48 * 1024 * 1024,
-        scratch_capacity: int = 256,
-        scratch_max_bytes: int | None = 16 * 1024 * 1024,
-    ) -> None:
-        self.cache = LRUCache(
-            capacity=capacity,
-            size_estimator=estimate_compiled_bytes,
-            max_bytes=max_bytes,
-        )
+    def __init__(self, capacity: int = 1024, scratch_capacity: int = 256) -> None:
+        # An entry measures about 20 kB on every perfbench workload and on
+        # the longest TriviaQA contexts, so the default caps hold about
+        # 21 MB and 5 MB (docs/performance.md, "Cache bounds").
+        self.cache = LRUCache(capacity=capacity)
         # Short-reuse texts — the clip search's candidate evidences,
         # identical across the adjacent questions of one paragraph but
         # dead afterwards — compile into this smaller side cache (see
         # :meth:`transient`), so they never evict long-lived paragraph
         # artifacts from the main LRU.
-        self.scratch = LRUCache(
-            capacity=scratch_capacity,
-            size_estimator=estimate_compiled_bytes,
-            max_bytes=scratch_max_bytes,
-        )
+        self.scratch = LRUCache(capacity=scratch_capacity)
         self._transient = threading.local()
 
     def __getstate__(self) -> dict:
@@ -355,7 +246,7 @@ class ContextCompiler:
 
         Used by callers predicting over short-lived texts (the
         informativeness scorer's candidate evidences: re-encounters are
-        served from string/node-set memos, but the *same* candidate text
+        served from its string memo, but the *same* candidate text
         recurs for each question of a shared paragraph).  Thread-local,
         so concurrent service threads predicting over real paragraphs
         keep filling the main cache.
@@ -385,15 +276,13 @@ class ContextCompiler:
                 return compiled
             compiled = CompiledContext(context)
             self.scratch.put(context, compiled)
-            compiled.bind_accounting(self.scratch, context)
             return compiled
         compiled = self.cache.get(context, MISSING)
         if compiled is MISSING:
             compiled = CompiledContext(context)
             self.cache.put(context, compiled)
-            compiled.bind_accounting(self.cache, context)
         return compiled
 
     def snapshot(self):
-        """Hit/miss/size/bytes counters of the main (paragraph) LRU."""
+        """Hit/miss/size counters of the main (paragraph) LRU."""
         return self.cache.snapshot()

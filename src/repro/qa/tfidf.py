@@ -59,6 +59,14 @@ class TfidfQA(SpanScoringQA):
             return 1.0
         return self._idf.get(term, self._default_idf)
 
+    def _coverage(self, terms, matched: set[str]) -> float:
+        """Summed IDF of the distinct matched terms, in question order.
+
+        Summing in ``terms`` order rather than over the set keeps the
+        float result independent of string hashing (``PYTHONHASHSEED``).
+        """
+        return sum(self.idf(t) for t in dict.fromkeys(terms) if t in matched)
+
     def score_span(
         self,
         question_terms: list[str],
@@ -98,7 +106,8 @@ class TfidfQA(SpanScoringQA):
                 # the sentence is a weak signal (see LexicalOverlapQA).
                 score += weight * (0.75 + 0.25 * decayed)
             matched.add(term)
-        score += 0.5 * sum(self.idf(t) for t in matched) / max(1, len(question_terms))
+        coverage = self._coverage(question_terms, matched)
+        score += 0.5 * coverage / max(1, len(question_terms))
         return score
 
     # ------------------------------------------------- prepared scoring path
@@ -153,5 +162,6 @@ class TfidfQA(SpanScoringQA):
             else:
                 score += weight * (0.75 + 0.25 * decayed)
             matched.add(term)
-        score += 0.5 * sum(self.idf(t) for t in matched) / max(1, len(profile.terms))
+        coverage = self._coverage(profile.terms, matched)
+        score += 0.5 * coverage / max(1, len(profile.terms))
         return score

@@ -39,6 +39,7 @@ from repro.service.paging import decode_cursor, encode_cursor, paginate_ask
 from repro.service.scheduler import (
     DistillRequest,
     MicroBatchScheduler,
+    SchedulerClosedError,
     SchedulerStats,
 )
 from repro.service.server import (
@@ -59,6 +60,7 @@ __all__ = [
     "QueueFullError",
     "RateLimitedError",
     "RetryPolicy",
+    "SchedulerClosedError",
     "SchedulerStats",
     "ServiceClient",
     "ServiceConfig",

@@ -61,8 +61,18 @@ __all__ = [
     "DistillRequest",
     "MicroBatchScheduler",
     "QueueFullError",
+    "SchedulerClosedError",
     "SchedulerStats",
 ]
+
+
+class SchedulerClosedError(RuntimeError):
+    """A request reached a scheduler that has been closed.
+
+    The server answers it with a retryable ``503``: another replica, or
+    this one after a restart, can serve the retry.
+    """
+
 
 # EWMA smoothing for observed batch latency: 0.25 weighs the last few
 # batches heavily enough to track load shifts while ignoring one outlier.
@@ -197,11 +207,11 @@ class MicroBatchScheduler:
     Thread safety: :meth:`submit`, :meth:`submit_many`, :meth:`distill`,
     :meth:`stats`, and :meth:`close` may be called from any thread.
 
-    Error modes: submits raise :class:`RuntimeError` after
+    Error modes: submits raise :class:`SchedulerClosedError` after
     :meth:`close`, and :class:`QueueFullError` when shed; a request
     future raises the per-request distillation error (poisoned triples
-    only — batch-mates are unaffected) or :class:`RuntimeError` if the
-    scheduler was closed with ``drain=False`` while it was queued.
+    only — batch-mates are unaffected) or :class:`SchedulerClosedError`
+    if the scheduler was closed with ``drain=False`` while it was queued.
     """
 
     def __init__(
@@ -263,7 +273,7 @@ class MicroBatchScheduler:
         flush time before any engine work runs.
 
         Raises:
-            RuntimeError: the scheduler is closed.
+            SchedulerClosedError: the scheduler is closed.
             QueueFullError: the queue is at ``max_queue_depth`` and the
                 triple could not coalesce onto in-flight work.
             DeadlineExceededError: ``deadline`` is already in the past.
@@ -296,7 +306,7 @@ class MicroBatchScheduler:
         ]
         with self._cond:
             if self._closed:
-                raise RuntimeError("scheduler is closed")
+                raise SchedulerClosedError("scheduler is closed")
             if self.max_queue_depth:
                 fresh = {
                     request.triple
@@ -330,7 +340,7 @@ class MicroBatchScheduler:
     ) -> None:
         """Coalesce, bound-check (unless ``checked``), and enqueue."""
         if self._closed:
-            raise RuntimeError("scheduler is closed")
+            raise SchedulerClosedError("scheduler is closed")
         primary = self._inflight.get(request.triple)
         if primary is not None:
             primary.attached.append(request.future)
@@ -655,9 +665,10 @@ class MicroBatchScheduler:
         flushes through the engine before the thread exits.  With
         ``drain=False`` the queue is abandoned: every queued request (and
         everything coalesced onto it) fails promptly with
-        :class:`RuntimeError` — nothing hangs, nothing silently drops.
-        A batch already executing completes either way.  Subsequent
-        submits raise :class:`RuntimeError`; ``close`` is idempotent.
+        :class:`SchedulerClosedError` — nothing hangs, nothing silently
+        drops.  A batch already executing completes either way.
+        Subsequent submits raise :class:`SchedulerClosedError`; ``close``
+        is idempotent.
         """
         abandoned: list[DistillRequest] = []
         with self._cond:
@@ -670,7 +681,7 @@ class MicroBatchScheduler:
         for request in abandoned:
             _done, bad = self._resolve(
                 request,
-                error=RuntimeError(
+                error=SchedulerClosedError(
                     "scheduler closed before this request was flushed"
                 ),
             )

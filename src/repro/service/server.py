@@ -49,7 +49,9 @@ scheduler queue) answers ``429`` with a ``Retry-After`` header (whole
 seconds, rounded up) and ``retry_after_seconds`` (exact float) in the
 body.  An ``/ask`` whose retrieval is unavailable (breaker open, or the
 search failed) answers ``503`` with the same header and body field,
-the hint being the breaker's remaining cooldown.  Clients identify
+the hint being the breaker's remaining cooldown.  A request that reaches
+a closed scheduler (the service was closed before the server) answers
+``503`` with ``Retry-After`` and ``Connection: close``.  Clients identify
 themselves with an ``X-Client-Id`` header; anonymous requests share one
 default token bucket.
 
@@ -92,11 +94,14 @@ from repro.service.admission import (
     RateLimitedError,
     ShedError,
 )
+from repro.service.scheduler import SchedulerClosedError
 from repro.service.service import DistillService
 
 __all__ = ["DistillHTTPServer", "make_server", "start_server"]
 
 MAX_BODY_BYTES = 8 * 1024 * 1024
+# Retry-After hint (seconds) on the 503 a closed scheduler answers.
+CLOSED_RETRY_AFTER_S = 1
 
 # Known paths and the methods they answer; anything else is a 404, a
 # known path with the wrong method is a 405 carrying an Allow header.
@@ -376,6 +381,18 @@ class _DistillHandler(BaseHTTPRequestHandler):
                 extra_headers={
                     "Retry-After": str(max(1, math.ceil(exc.retry_after)))
                 },
+            )
+        except SchedulerClosedError as exc:
+            # The service is shutting down.  This connection will not be
+            # served again, but a retry elsewhere or after a restart can.
+            self.close_connection = True
+            self._send_json(
+                503,
+                {
+                    "error": str(exc),
+                    "retry_after_seconds": float(CLOSED_RETRY_AFTER_S),
+                },
+                extra_headers={"Retry-After": str(CLOSED_RETRY_AFTER_S)},
             )
         except DeadlineExceededError as exc:
             # The client's X-Deadline-Ms budget ran out: 504, with a

@@ -697,7 +697,6 @@ class DistillService:
             snap = compiler.snapshot()
             compiled_block = {
                 "contexts": snap.size,
-                "bytes": snap.bytes,
                 "hits": snap.hits,
                 "misses": snap.misses,
                 "hit_rate": (

@@ -42,14 +42,12 @@ _MEMO_CREATE_LOCK = threading.Lock()
 class CacheSnapshot(NamedTuple):
     """A consistent point-in-time view of one :class:`LRUCache`.
 
-    ``bytes`` is 0 unless the cache was built with a ``size_estimator``.
-    Compares equal to a plain ``(hits, misses, size, bytes)`` tuple.
+    Compares equal to a plain ``(hits, misses, size)`` tuple.
     """
 
     hits: int
     misses: int
     size: int
-    bytes: int = 0
 
 
 class LRUCache:
@@ -59,18 +57,9 @@ class LRUCache:
     shared by the threads of a
     :class:`~repro.engine.executor.ParallelExecutor`.
 
-    Besides the entry-count ``capacity``, a cache may be bounded by a
-    *byte budget*: pass ``size_estimator`` (a callable ``value -> int``
-    giving the byte footprint of one cached value) together with
-    ``max_bytes``, and the least-recently-used entries are evicted until
-    the measured total fits the budget.  The measurement is taken at
-    :meth:`put` time; values that grow afterwards (lazily compiled
-    artifacts) call :meth:`reaccount` so the accounted total tracks the
-    estimator exactly — with cooperating values the budget is an
-    invariant, not a guideline.  The most recent entry is never evicted
-    on byte pressure, so a single oversized value still caches (a cache
-    that rejects its own inserts would silently degrade to a 0% hit
-    rate).
+    The entry count is the only bound: callers size ``capacity`` from
+    the measured footprint of one value (see ``docs/performance.md``,
+    "Cache bounds").
 
     >>> cache = LRUCache(capacity=2)
     >>> cache.put("a", 1); cache.put("b", 2); cache.put("c", 3)
@@ -80,25 +69,10 @@ class LRUCache:
     3
     """
 
-    def __init__(
-        self,
-        capacity: int = 1024,
-        size_estimator: Callable[[Any], int] | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive")
-        if max_bytes is not None and size_estimator is None:
-            raise ValueError("max_bytes requires a size_estimator")
         self.capacity = capacity
-        self.max_bytes = max_bytes
-        self._estimate = size_estimator
-        self._sizes: dict[Hashable, int] | None = (
-            {} if size_estimator is not None else None
-        )
-        self._bytes = 0
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -148,26 +122,14 @@ class LRUCache:
             return default if value is MISSING else value
 
     def put(self, key: Hashable, value: Any) -> None:
-        """Insert ``value``, evicting least-recently-used entries while the
-        cache exceeds its entry capacity or (estimated) byte budget."""
+        """Insert ``value``, evicting the least-recently-used entry when
+        the cache exceeds its capacity."""
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
-                if self._sizes is not None:
-                    self._bytes -= self._sizes.pop(key, 0)
             self._data[key] = value
-            if self._sizes is not None:
-                size = int(self._estimate(value))
-                self._sizes[key] = size
-                self._bytes += size
-            while len(self._data) > self.capacity or (
-                self.max_bytes is not None
-                and self._bytes > self.max_bytes
-                and len(self._data) > 1
-            ):
-                evicted, _ = self._data.popitem(last=False)
-                if self._sizes is not None:
-                    self._bytes -= self._sizes.pop(evicted, 0)
+            if len(self._data) > self.capacity:
+                self._data.popitem(last=False)
 
     def items(self) -> list[tuple[Hashable, Any]]:
         """A point-in-time list of ``(key, value)`` pairs, LRU-first.
@@ -177,34 +139,6 @@ class LRUCache:
         """
         with self._lock:
             return list(self._data.items())
-
-    def reaccount(self, key: Hashable) -> int:
-        """Re-measure one entry's byte footprint after it grew in place.
-
-        Lazily-materialized values (compiled-context tables) call this
-        through their owning cache binding whenever a new table fills in,
-        so the accounted total always equals the estimator applied to the
-        *current* values — making ``max_bytes`` a real invariant.  Runs
-        the same eviction loop as :meth:`put`; returns the new size (0 if
-        the key is absent or the cache has no estimator).
-        """
-        if self._sizes is None:
-            return 0
-        with self._lock:
-            value = self._data.get(key, MISSING)
-            if value is MISSING:
-                return 0
-            size = int(self._estimate(value))
-            self._bytes += size - self._sizes.get(key, 0)
-            self._sizes[key] = size
-            while (
-                self.max_bytes is not None
-                and self._bytes > self.max_bytes
-                and len(self._data) > 1
-            ):
-                evicted, _ = self._data.popitem(last=False)
-                self._bytes -= self._sizes.pop(evicted, 0)
-            return size
 
     def record_hits(self, n: int = 1) -> None:
         """Credit ``n`` hits that were served without a :meth:`get` lookup.
@@ -220,16 +154,11 @@ class LRUCache:
     def snapshot(self) -> CacheSnapshot:
         """A consistent :class:`CacheSnapshot` taken under the lock."""
         with self._lock:
-            return CacheSnapshot(
-                self.hits, self.misses, len(self._data), self._bytes
-            )
+            return CacheSnapshot(self.hits, self.misses, len(self._data))
 
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-            if self._sizes is not None:
-                self._sizes.clear()
-            self._bytes = 0
             self.hits = 0
             self.misses = 0
 

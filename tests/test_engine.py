@@ -350,14 +350,9 @@ class TestBatchDistillerParallel:
             "informativeness",
             "readability",
             "results",
-            "clip_scores",
+            "compiled_contexts",
         } <= names
-        # The incremental engine's node-set cache must record the clip
-        # search's scoring traffic (one lookup per candidate evidence).
-        clip_cache = next(
-            c for c in stats.cache_stats if c.name == "clip_scores"
-        )
-        assert clip_cache.lookups > 0
+        assert not {"clip_scores", "clip_sessions"} & names
         summary = stats.summary()
         assert "shared caches" in summary
         assert "informativeness" in summary

@@ -1,5 +1,10 @@
 """Unit tests for the QA substrate: typing, scorers, ensemble, registry."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -130,6 +135,48 @@ class TestReaders:
             EnsembleQA([])
         with pytest.raises(ValueError):
             EnsembleQA([(LexicalOverlapQA(), -1.0)])
+
+
+# Scores every span (up to 3 tokens) of 40 squad11 paragraphs on both
+# TF-IDF scoring paths and prints one digest of the exact float bits.
+_TFIDF_DIGEST_SCRIPT = """
+import hashlib
+from repro.datasets import load_dataset
+from repro.qa.tfidf import TfidfQA
+from repro.text.tokenizer import tokenize
+ds = load_dataset("squad11", seed=1, n_train=40, n_dev=20)
+qa = TfidfQA().fit(ds.contexts())
+digest = hashlib.sha256()
+for ex in ds.train[:40]:
+    profile = qa._question_profile(ex.question)
+    tokens = tokenize(ex.context)
+    prep = qa.span_prep(profile, tokens)
+    for start in range(len(tokens)):
+        for end in range(start, min(start + 3, len(tokens))):
+            a = qa.score_span(list(profile.terms), tokens, start, end)
+            b = qa.score_span_prepared(prep, profile, tokens, start, end)
+            assert a == b, (a, b)
+            digest.update(a.hex().encode())
+print(digest.hexdigest())
+"""
+
+
+class TestTfidfHashSeed:
+    def test_scores_do_not_depend_on_string_hashing(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            done = subprocess.run(
+                [sys.executable, "-c", _TFIDF_DIGEST_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            digests.add(done.stdout.strip())
+        assert len(digests) == 1
 
 
 class TestEmbeddingQuestionMemo:

@@ -9,12 +9,12 @@ float additions by surviving run (the summation-order contract in
 final distilled text.  These tests assert that over randomized trees and
 clip sequences (including hazard tokens that force the fallback mode)
 and over a real squad11 slice with the engine toggled on and off, plus
-the cross-call session-reuse guarantees (same paragraph re-distilled →
-node-set scores served from cache).
+the per-call lifetime of scoring sessions.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -23,6 +23,7 @@ from repro import GCED, QATrainer
 from repro.core.config import GCEDConfig
 from repro.core.oec import OptimalEvidenceDistiller
 from repro.core.scoring import CandidateScoringEngine
+from repro.core.serialize import result_to_dict
 from repro.datasets import load_dataset
 from repro.metrics.incremental import TreeTokenArtifacts, TrigramTermCache
 from repro.metrics.informativeness import InformativenessScorer
@@ -124,16 +125,6 @@ class TestScoreEquivalence:
         scores = session.score(nodes)
         assert scores == direct
         assert not scores.is_valid
-
-    def test_node_set_memo_hits_without_rendering(self, gced):
-        engine = CandidateScoringEngine(gced.scorer)
-        tree = _random_tree(random.Random(3), _SAFE_VOCAB, 12)
-        session = engine.session(tree, "Who won the battle?", "the champion")
-        nodes = frozenset(range(12))
-        first = session.score(nodes)
-        hits0 = engine.cache.snapshot()[0]
-        assert session.score(nodes) == first
-        assert engine.cache.snapshot()[0] == hits0 + 1
 
 
 class TestClipEquivalence:
@@ -254,65 +245,38 @@ class TestPredictBatch:
         assert fast == slow
 
 
-class TestCrossCallSessionReuse:
-    """Sessions are content-keyed: re-distilling a paragraph hits caches."""
+class TestPerCallSessions:
+    """No clip scoring state outlives the clip search that built it."""
 
-    def test_same_content_returns_same_session(self, gced):
-        engine = CandidateScoringEngine(gced.scorer)
-        rng = random.Random(7)
-        tree_a = _random_tree(rng, _SAFE_VOCAB, 14)
-        # A structurally different tree over the *same tokens* shares the
-        # session: scores depend only on the token sequence.
-        tree_b = DependencyTree(
-            list(tree_a.tokens), [-1] + [0] * (len(tree_a) - 1)
-        )
-        first = engine.session(tree_a, "Who won?", "the champion")
-        assert engine.session(tree_a, "Who won?", "the champion") is first
-        assert engine.session(tree_b, "Who won?", "the champion") is first
-        # Different question or answer → different session.
-        assert engine.session(tree_a, "Who lost?", "the champion") is not first
-        hits, misses, size, _ = engine.sessions.snapshot()
-        assert hits == 2 and misses == 2 and size == 2
+    def test_no_session_outlives_distill(self, artifacts, monkeypatch):
+        import gc
+        import weakref
 
-    def test_repeated_clip_serves_scores_from_cache(self, gced):
-        engine = CandidateScoringEngine(gced.scorer)
-        oec = OptimalEvidenceDistiller(gced.scorer, clip_times=3, engine=engine)
-        rng = random.Random(11)
-        tree = _random_tree(rng, _SAFE_VOCAB, 20)
-        evidence, protected = _random_evidence(rng, tree)
-        question, answer = "Who won the Battle of Hastings?", "the champion"
-        first = oec.clip(tree, set(evidence), 0, protected, question, answer)
-        _h1, m1 = engine.cache.snapshot()[:2]
-        assert m1 > 0
-        # Second clip over equal content: every node-set lookup hits, no
-        # new misses, identical outputs (same cached float objects).
-        again = oec.clip(tree, set(evidence), 0, protected, question, answer)
-        h2, m2 = engine.cache.snapshot()[:2]
-        assert again == first
-        assert m2 == m1
-        assert h2 > 0
-
-    def test_batch_redistillation_hits_clip_scores(self, artifacts):
-        from repro.core import BatchDistiller
+        from repro.core import scoring
 
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
-        triples = [(q, a, c) for q, a, c in QA_CASES[:3]]
-        with BatchDistiller(gced) as first_pass:
-            first = first_pass.distill_many(triples)
-        engine = gced.scoring_engine
-        hits1, misses1 = engine.cache.snapshot()[:2]
-        # A fresh distiller defeats the finished-results memo, modelling
-        # re-distillation traffic (sweeps, re-asks); the content-keyed
-        # sessions still serve every clip score from cache.
-        with BatchDistiller(gced) as second_pass:
-            second = second_pass.distill_many(triples)
-        hits2, misses2 = engine.cache.snapshot()[:2]
-        session_hits = engine.sessions.snapshot().hits
-        assert [r.evidence for r in second] == [r.evidence for r in first]
-        assert [r.scores for r in second] == [r.scores for r in first]
-        assert misses2 == misses1
-        assert hits2 > hits1
-        assert session_hits > 0
+        built: list[weakref.ref] = []
+        real_init = scoring.ScoringSession.__init__
+
+        def tracking_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(scoring.ScoringSession, "__init__", tracking_init)
+        question, answer, context = QA_CASES[0]
+        first = gced.distill(question, answer, context)
+        gc.collect()
+        assert built, "the clip search built no session"
+        assert all(ref() is None for ref in built)
+        # GCED.distill has no result memo: this re-distill is a cold clip
+        # search over fresh sessions, and must reproduce the first byte
+        # for byte.
+        again = gced.distill(question, answer, context)
+        assert len(built) == 2
+        assert json.dumps(result_to_dict(again)) == json.dumps(
+            result_to_dict(first)
+        )
+        assert again.clip_trace == first.clip_trace
 
 
 class TestPipelineEquivalence:

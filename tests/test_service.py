@@ -36,6 +36,7 @@ from repro.service import (
     MicroBatchScheduler,
     QueueFullError,
     RateLimitedError,
+    SchedulerClosedError,
     ServiceClient,
     ServiceConfig,
     ServiceError,
@@ -921,6 +922,40 @@ class TestHTTPTransport:
         assert client.healthz()["status"] == "ok"
         client.close()
         assert peer_ports[0] == peer_ports[1] != peer_ports[2]
+
+    def test_closed_scheduler_answers_retryable_503(self, artifacts):
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        service = DistillService(gced, config=ServiceConfig())
+        server, _thread = start_server(service, quiet=True)
+        host, port = server.server_address[:2]
+        question, answer, context = QA_CASES[0]
+        body = json.dumps(
+            {"question": question, "answer": answer, "context": context}
+        )
+        headers = {"Content-Type": "application/json"}
+        connection = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            connection.request("POST", "/distill", body, headers)
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            # The embedder closes the service first; the kept-alive
+            # connection still reaches the handler.
+            service.close()
+            connection.request("POST", "/distill", body, headers)
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            assert response.status == 503
+            assert response.getheader("Retry-After") == "1"
+            assert response.getheader("Connection") == "close"
+            assert "closed" in payload["error"]
+            assert payload["retry_after_seconds"] == 1.0
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+        with pytest.raises(SchedulerClosedError):
+            service.scheduler.submit(question, answer, context)
 
 
 class TestAskEndpoint:

@@ -71,7 +71,7 @@ class TestLRUCache:
         cache.get("a")
         cache.get("b")
         cache.record_hits(3)
-        assert cache.snapshot() == (4, 1, 1, 0)
+        assert cache.snapshot() == (4, 1, 1)
 
     def test_peek_is_stats_and_recency_free(self):
         cache = LRUCache(capacity=2)
@@ -80,55 +80,10 @@ class TestLRUCache:
         assert cache.peek("a") == 1
         assert cache.peek("missing", "default") == "default"
         # No hit/miss counting...
-        assert cache.snapshot() == (0, 0, 2, 0)
+        assert cache.snapshot() == (0, 0, 2)
         # ...and no recency refresh: "a" is still the eviction victim.
         cache.put("c", 3)
         assert "a" not in cache and "b" in cache
-
-
-class TestLRUCacheByteBudget:
-    """The optional size-estimator / byte-budget bound."""
-
-    def test_evicts_lru_entries_over_byte_budget(self):
-        cache = LRUCache(capacity=100, size_estimator=len, max_bytes=10)
-        cache.put("a", "xxxx")
-        cache.put("b", "xxxx")
-        cache.put("c", "xxxx")  # 12 bytes total: "a" must go
-        assert "a" not in cache and "b" in cache and "c" in cache
-        assert cache.snapshot().bytes == 8
-
-    def test_replacement_does_not_double_count(self):
-        cache = LRUCache(capacity=100, size_estimator=len, max_bytes=100)
-        cache.put("a", "xx")
-        cache.put("a", "xxxxxx")
-        assert cache.snapshot().bytes == 6
-
-    def test_newest_entry_survives_even_when_oversized(self):
-        cache = LRUCache(capacity=100, size_estimator=len, max_bytes=4)
-        cache.put("small", "xx")
-        cache.put("big", "x" * 50)
-        assert "big" in cache and "small" not in cache
-        assert cache.get("big") == "x" * 50
-
-    def test_eviction_and_clear_release_bytes(self):
-        cache = LRUCache(capacity=2, size_estimator=len, max_bytes=1000)
-        cache.put("a", "xx")
-        cache.put("b", "xxx")
-        cache.put("c", "xxxx")  # capacity eviction must release "a"'s bytes
-        assert cache.snapshot().bytes == 7
-        cache.clear()
-        assert cache.snapshot() == (0, 0, 0, 0)
-
-    def test_max_bytes_requires_estimator(self):
-        with pytest.raises(ValueError):
-            LRUCache(max_bytes=10)
-        with pytest.raises(ValueError):
-            LRUCache(size_estimator=len, max_bytes=0)
-
-    def test_bytes_zero_without_estimator(self):
-        cache = LRUCache(capacity=4)
-        cache.put("a", "payload")
-        assert cache.snapshot().bytes == 0
 
 
 class TestLRUCacheConcurrency:
@@ -172,7 +127,7 @@ class TestLRUCacheConcurrency:
         assert len(cache) <= 64
         # Counter bookkeeping survived: every get() recorded exactly one
         # hit or miss, with no lost updates.
-        hits, misses, size, _bytes = cache.snapshot()
+        hits, misses, size = cache.snapshot()
         assert hits + misses == sum(gets_done)
         assert size == len(cache)
 
