@@ -14,14 +14,17 @@ the per-call lifetime of scoring sessions.
 
 from __future__ import annotations
 
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
 from repro import GCED, QATrainer
 from repro.core.config import GCEDConfig
 from repro.core.oec import OptimalEvidenceDistiller
+from repro.core import scoring
 from repro.core.scoring import CandidateScoringEngine
 from repro.core.serialize import result_to_dict
 from repro.datasets import load_dataset
@@ -249,11 +252,6 @@ class TestPerCallSessions:
     """No clip scoring state outlives the clip search that built it."""
 
     def test_no_session_outlives_distill(self, artifacts, monkeypatch):
-        import gc
-        import weakref
-
-        from repro.core import scoring
-
         gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
         built: list[weakref.ref] = []
         real_init = scoring.ScoringSession.__init__
