@@ -132,10 +132,11 @@ def candidate_spans(
         return [(a, b) for a, b in spans if a <= b]
     # PHRASE: any span up to max_len anchored on *significant* content
     # words (a span may contain function words but not start/end on one).
+    content = [tok.is_word and not is_insignificant(tok.text) for tok in tokens]
     for i in range(n):
-        if not tokens[i].is_word or is_insignificant(tokens[i].text):
+        if not content[i]:
             continue
         for j in range(i, min(n, i + max_len)):
-            if tokens[j].is_word and not is_insignificant(tokens[j].text):
+            if content[j]:
                 spans.append((i, j))
     return spans

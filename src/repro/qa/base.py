@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 from repro.parsing.pos import PosTagger, VERB_LEXICON
 from repro.qa.answer_types import AnswerType, candidate_spans, classify_question
-from repro.qa.compiled import CompiledContext, ContextCompiler
+from repro.qa.compiled import CompiledContext, ContextCompiler, word_lowers
 from repro.text.stem import light_stem
 from repro.text.tokenizer import Token, tokenize
 from repro.lexicon.stopwords import is_insignificant
@@ -110,7 +110,7 @@ class SpanScoringQA(QAModel):
     inductive bias extractive PLM heads acquire from SQuAD training.
 
     Context-side work (tokenization, POS tags, sentence bounds, typed
-    candidate-span sets, the :meth:`span_prep` tables) routes through a
+    candidate-span sets, the :meth:`span_prep` hit lists) routes through a
     per-paragraph :class:`~repro.qa.compiled.CompiledContext` artifact
     cached in :attr:`context_compiler`, so repeated predictions against
     the same paragraph — several questions per SQuAD context, ASE
@@ -206,6 +206,34 @@ class SpanScoringQA(QAModel):
             return exact[token_lower]
         return stems.get(light_stem(token_lower))
 
+    def question_hits(
+        self,
+        profile: QuestionProfile,
+        tokens: list[Token],
+        compiled: CompiledContext | None = None,
+    ) -> tuple[list[int], list[str]]:
+        """The sorted question-term hit list of ``tokens``.
+
+        Returns ``(positions, terms)``: ascending indexes of the word
+        tokens that :meth:`match_term` maps to a question term, and that
+        term for each.  Span windows bisect into it, so a span visits
+        only its hits instead of scanning every token of its window.
+        """
+        positions: list[int] = []
+        terms: list[str] = []
+        if profile.terms:
+            lowers = (
+                word_lowers(tokens) if compiled is None else compiled.word_lowers()
+            )
+            exact, stems = profile.exact, profile.stems
+            for i, lower in enumerate(lowers):
+                if lower is not None:
+                    term = self.match_term(lower, exact, stems)
+                    if term is not None:
+                        positions.append(i)
+                        terms.append(term)
+        return positions, terms
+
     @memoize_method(maxsize=512)
     def _question_profile(self, question: str) -> QuestionProfile:
         """The cached :class:`QuestionProfile` for ``question``."""
@@ -228,47 +256,40 @@ class SpanScoringQA(QAModel):
     ) -> Any:
         """Per-(question, context) precomputation for span scoring.
 
-        Subclasses return an opaque object (match tables, embedding
-        matrices, ...) that :meth:`score_span_prepared` consumes; spans of
-        the same context then share one O(n) pass instead of each paying
-        it.  Returning ``None`` (the default) routes every span through
-        the generic :meth:`score_span`, so subclasses that only implement
-        ``score_span`` keep their exact behaviour.  When ``compiled`` is
-        given, question-independent pieces may be memoized on it via
-        :meth:`CompiledContext.derive` so different questions against the
-        same paragraph share them.
+        Subclasses return an opaque object (sorted question-term hit
+        lists, embedding matrices, ...) that :meth:`score_spans`
+        consumes; every span of the context then shares one O(n) pass
+        instead of each paying it.  Returning ``None`` (the default)
+        routes every span through the generic :meth:`score_span`, so
+        subclasses that only implement ``score_span`` keep their exact
+        behaviour.  When ``compiled`` is given, question-independent
+        pieces may be memoized on it via :meth:`CompiledContext.derive`
+        so different questions against the same paragraph share them.
         """
         return None
 
-    def score_span_prepared(
+    def score_spans(
         self,
         prep: Any,
         profile: QuestionProfile,
         tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
-        """Score a span using ``prep``; must equal :meth:`score_span` exactly."""
-        raise NotImplementedError(
-            "models returning a non-None span_prep must implement "
-            "score_span_prepared"
-        )
+        spans: Sequence[tuple[int, int]],
+        bounds: Sequence[tuple[int, int]],
+    ) -> list[float]:
+        """Scores of every ``(start, end)`` span, one call per context.
 
-    def _span_score(
-        self,
-        prep: Any,
-        terms: list[str],
-        profile: QuestionProfile,
-        tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None,
-    ) -> float:
-        """Dispatch to the prepared path when available, else the generic one."""
-        if prep is not None:
-            return self.score_span_prepared(prep, profile, tokens, start, end, bounds)
-        return self.score_span(terms, tokens, start, end, bounds=bounds)
+        ``bounds[i]`` is span ``i``'s sentence range (see
+        :meth:`score_span`).  Overrides consume their own
+        :meth:`span_prep` output and must return exactly
+        ``[score_span(terms, tokens, start, end, bounds=b) ...]``, bit
+        for bit; this default is that loop, and a ``None`` prep routes
+        any override back to it.
+        """
+        terms = list(profile.terms)
+        return [
+            self.score_span(terms, tokens, start, end, bounds=bound)
+            for (start, end), bound in zip(spans, bounds)
+        ]
 
     @abc.abstractmethod
     def score_span(
@@ -338,17 +359,20 @@ class SpanScoringQA(QAModel):
             prep = self.span_prep(profile, tokens)
             sent_bounds = self.sentence_bounds(tokens)
             tags = self._tagger.tag([t.text for t in tokens])
-        terms = list(profile.terms)
         entity_like = answer_type in (
             AnswerType.PERSON,
             AnswerType.PLACE,
             AnswerType.ENTITY,
         )
+        spans = list(spans)
+        last = len(tokens) - 1
+        bounds = [
+            (sent_bounds[start][0], sent_bounds[min(end, last)][1])
+            for start, end in spans
+        ]
+        raws = self.score_spans(prep, profile, tokens, spans, bounds)
         scored = []
-        for start, end in spans:
-            lo = sent_bounds[start][0]
-            hi = sent_bounds[min(end, len(tokens) - 1)][1]
-            raw = self._span_score(prep, terms, profile, tokens, start, end, (lo, hi))
+        for (start, end), raw in zip(spans, raws):
             raw -= self.length_penalty * (end - start)
             if (start, end) in typed:
                 raw += self.typed_prior
@@ -360,10 +384,11 @@ class SpanScoringQA(QAModel):
                     # Subject preference: "which team ...?" answers sit
                     # before the predicate ("Denver Broncos defeated ...").
                     raw += self.subject_bonus
-            elif entity_like:
-                # Generic phrase spans are a fallback for entity questions.
-                raw -= 0.4
-            if (start, end) not in typed:
+            else:
+                if entity_like:
+                    # Generic phrase spans are a fallback for entity
+                    # questions.
+                    raw -= 0.4
                 # Completeness prior: answers are (close to) constituents —
                 # a span ending mid-phrase ("various", "singing and") or
                 # starting on a conjunction is rarely a full answer.
@@ -410,8 +435,8 @@ class SpanScoringQA(QAModel):
 
     # predict_batch: the inherited serial loop is already amortized here —
     # every predict shares the memoized QuestionProfile and pays span
-    # scoring through a per-context span_prep table, so question-side work
-    # is hoisted whether calls arrive one at a time or as a batch.
+    # scoring through one score_spans call per context, so question-side
+    # work is hoisted whether calls arrive one at a time or as a batch.
 
     def predict_top_k(
         self, question: str, context: str, k: int = 5

@@ -33,7 +33,7 @@ from repro.text.sentences import Sentence, split_sentences
 from repro.text.tokenizer import Token, tokenize
 from repro.utils.cache import LRUCache, MISSING
 
-__all__ = ["CompiledContext", "ContextCompiler"]
+__all__ = ["CompiledContext", "ContextCompiler", "word_lowers"]
 
 # Typed span extraction is identical for the three capitalized-run types;
 # sharing one slot avoids recomputing it when PERSON and ENTITY questions
@@ -52,6 +52,11 @@ _SPAN_KIND = {
 _MAX_PREPS = 64
 
 
+def word_lowers(tokens: list[Token]) -> list[str | None]:
+    """Per token: its lowercased text if it is a word, else None."""
+    return [tok.lower if tok.is_word else None for tok in tokens]
+
+
 class CompiledContext:
     """Lazily-computed, shareable artifacts of one context paragraph.
 
@@ -64,6 +69,7 @@ class CompiledContext:
     def __init__(self, text: str) -> None:
         self.text = text
         self.tokens: list[Token] = tokenize(text)
+        self._word_lowers: list[str | None] | None = None
         self._sentence_bounds: list[tuple[int, int]] | None = None
         self._tags: list[str] | None = None
         self._span_kinds: dict[str, frozenset[tuple[int, int]]] = {}
@@ -85,6 +91,14 @@ class CompiledContext:
         self._predictions: dict = {}
 
     # ------------------------------------------------------ context tables
+    def word_lowers(self) -> list[str | None]:
+        """``word_lowers(tokens)``, computed once: every span-scoring
+        model's prep reads its per-token word flags from this table."""
+        lowers = self._word_lowers
+        if lowers is None:
+            lowers = self._word_lowers = word_lowers(self.tokens)
+        return lowers
+
     def sentence_bounds(self, model) -> list[tuple[int, int]]:
         """``SpanScoringQA.sentence_bounds(tokens)``, computed once."""
         bounds = self._sentence_bounds

@@ -12,6 +12,7 @@ import numpy as np
 
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.qa.base import QuestionProfile, SpanScoringQA
+from repro.qa.compiled import word_lowers
 from repro.text.tokenizer import Token
 from repro.utils.cache import memoize_method
 
@@ -59,7 +60,11 @@ class EmbeddingQA(SpanScoringQA):
         lo = max(lo_limit, start - self.window)
         hi = min(hi_limit, end + self.window + 1)
         words = [tokens[i].lower for i in range(lo, hi) if tokens[i].is_word]
-        sv = self._mean_vector(words)
+        return self._cosine(qv, qn, self._mean_vector(words))
+
+    @staticmethod
+    def _cosine(qv: np.ndarray, qn: float, sv: np.ndarray) -> float:
+        """Cosine of question vector ``qv`` (norm ``qn``) and ``sv``."""
         sn = np.linalg.norm(sv)
         if sn == 0.0:
             return 0.0
@@ -67,18 +72,19 @@ class EmbeddingQA(SpanScoringQA):
 
     # ------------------------------------------------- prepared scoring path
     def _context_matrix(
-        self, tokens: list[Token]
+        self, lowers: list[str | None]
     ) -> tuple[np.ndarray, list[int]]:
         """The stacked word-embedding matrix + word-position prefix counts.
 
-        A pure function of the context tokens (no question side), so it
-        is shareable across every question asked of one paragraph.
+        A pure function of the context's :func:`word_lowers` table (no
+        question side), so it is shareable across every question asked
+        of one paragraph.
         """
-        word_prefix = [0] * (len(tokens) + 1)
+        word_prefix = [0] * (len(lowers) + 1)
         rows = []
-        for i, tok in enumerate(tokens):
-            if tok.is_word:
-                rows.append(self.embeddings.vector(tok.lower))
+        for i, lower in enumerate(lowers):
+            if lower is not None:
+                rows.append(self.embeddings.vector(lower))
             word_prefix[i + 1] = len(rows)
         matrix = np.vstack(rows) if rows else np.zeros((0, self.embeddings.dim))
         return matrix, word_prefix
@@ -100,33 +106,33 @@ class EmbeddingQA(SpanScoringQA):
         if compiled is not None:
             matrix, word_prefix = compiled.derive(
                 (self.prep_key, "embedding-matrix"),
-                lambda: self._context_matrix(tokens),
+                lambda: self._context_matrix(compiled.word_lowers()),
             )
         else:
-            matrix, word_prefix = self._context_matrix(tokens)
+            matrix, word_prefix = self._context_matrix(word_lowers(tokens))
         return (qv, qn, matrix, word_prefix)
 
-    def score_span_prepared(
-        self,
-        prep,
-        profile: QuestionProfile,
-        tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
+    def score_spans(self, prep, profile, tokens, spans, bounds) -> list[float]:
+        """One cosine per distinct window row slice, shared by every span
+        whose window covers the same word rows."""
+        if prep is None:
+            return super().score_spans(prep, profile, tokens, spans, bounds)
         qv, qn, matrix, word_prefix = prep
         if qn == 0.0:
-            return 0.0
-        lo_limit, hi_limit = bounds if bounds is not None else (0, len(tokens))
-        lo = max(lo_limit, start - self.window)
-        hi = min(hi_limit, end + self.window + 1)
-        window = matrix[word_prefix[lo] : word_prefix[hi]]
-        if window.shape[0] == 0:
-            sv = np.zeros(self.embeddings.dim)
-        else:
-            sv = window.mean(axis=0)
-        sn = np.linalg.norm(sv)
-        if sn == 0.0:
-            return 0.0
-        return float(qv @ sv / (qn * sn))
+            return [0.0] * len(spans)
+        window = self.window
+        cosines: dict[tuple[int, int], float] = {}
+        scores = []
+        for (start, end), (lo_limit, hi_limit) in zip(spans, bounds):
+            rows = (
+                word_prefix[max(lo_limit, start - window)],
+                word_prefix[min(hi_limit, end + window + 1)],
+            )
+            cosine = cosines.get(rows)
+            if cosine is None:
+                a, b = rows
+                cosine = cosines[rows] = (
+                    self._cosine(qv, qn, matrix[a:b].mean(axis=0)) if a < b else 0.0
+                )
+            scores.append(cosine)
+        return scores

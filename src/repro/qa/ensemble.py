@@ -50,35 +50,29 @@ class EnsembleQA(SpanScoringQA):
     def span_prep(
         self, profile: QuestionProfile, tokens: list[Token], compiled=None
     ):
-        """Member preps plus the shared terms list for fallback members.
+        """The members' preps, in member order.
 
         ``compiled`` passes through to the members, so question-shared
         artifacts (the embedding member's context matrix) are derived
         once per paragraph even though the ensemble-level prep is
         memoized per question.
         """
-        return (
-            list(profile.terms),
-            [
-                model.span_prep(profile, tokens, compiled=compiled)
-                for model, _weight in self.members
-            ],
-        )
+        return [
+            model.span_prep(profile, tokens, compiled=compiled)
+            for model, _weight in self.members
+        ]
 
-    def score_span_prepared(
-        self,
-        prep,
-        profile: QuestionProfile,
-        tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
-        terms, member_preps = prep
-        return sum(
-            weight
-            * model._span_score(
-                member_prep, terms, profile, tokens, start, end, bounds
-            )
-            for (model, weight), member_prep in zip(self.members, member_preps)
-        )
+    def score_spans(self, prep, profile, tokens, spans, bounds) -> list[float]:
+        """One :meth:`score_spans` call per member, then :meth:`score_span`'s
+        weighted sum per span, in member order."""
+        if prep is None:
+            return super().score_spans(prep, profile, tokens, spans, bounds)
+        columns = [
+            model.score_spans(member_prep, profile, tokens, spans, bounds)
+            for (model, _weight), member_prep in zip(self.members, prep)
+        ]
+        weights = [weight for _model, weight in self.members]
+        return [
+            sum(weight * score for weight, score in zip(weights, row))
+            for row in zip(*columns)
+        ]

@@ -9,6 +9,8 @@ informativeness metric rely on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.qa.base import QuestionProfile, SpanScoringQA
 from repro.text.tokenizer import Token
 
@@ -81,51 +83,38 @@ class LexicalOverlapQA(SpanScoringQA):
     def span_prep(
         self, profile: QuestionProfile, tokens: list[Token], compiled=None
     ):
-        """Per-token matched-term table, computed once per context.
+        """The sorted hit list ``(positions, terms)`` of
+        :meth:`question_hits`: the per-span ``match_term`` outcomes,
+        hoisted to one O(n) pass per context."""
+        return self.question_hits(profile, tokens, compiled)
 
-        ``table[i]`` is the canonical question term token ``i`` matches,
-        or ``None`` for non-words and unmatched words — exactly the
-        outcome of the per-span ``match_term`` calls, hoisted to one
-        O(n) pass.
-        """
-        if not profile.terms:
-            return ()
-        exact, stems = profile.exact, profile.stems
-        return [
-            self.match_term(tok.lower, exact, stems) if tok.is_word else None
-            for tok in tokens
-        ]
-
-    def score_span_prepared(
-        self,
-        prep,
-        profile: QuestionProfile,
-        tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
-        if not profile.terms:
-            return 0.0
-        lo_limit, hi_limit = bounds if bounds is not None else (0, len(tokens))
-        score = 0.0
-        matched: set[str] = set()
-        for idx in range(
-            max(lo_limit, start - self.window),
-            min(hi_limit, end + self.window + 1),
-        ):
-            term = prep[idx]
-            if term is None:
-                continue
-            if start <= idx <= end:
-                score -= 0.4
-                continue
-            distance = start - idx if idx < start else idx - end
-            decayed = self.decay ** distance
-            if term in profile.verbs:
-                score += self.verb_term_boost * decayed
-            else:
-                score += 0.75 + 0.25 * decayed
-            matched.add(term)
-        score += 0.5 * len(matched)
-        return score
+    def score_spans(self, prep, profile, tokens, spans, bounds) -> list[float]:
+        """Each span bisects to the hits inside its window and replays
+        :meth:`score_span`'s arithmetic over them in token order."""
+        if prep is None:
+            return super().score_spans(prep, profile, tokens, spans, bounds)
+        positions, terms = prep
+        verbs, window, decay = profile.verbs, self.window, self.decay
+        scores = []
+        for (start, end), (lo_limit, hi_limit) in zip(spans, bounds):
+            score = 0.0
+            matched: set[str] = set()
+            for k in range(
+                bisect_left(positions, max(lo_limit, start - window)),
+                bisect_left(positions, min(hi_limit, end + window + 1)),
+            ):
+                idx = positions[k]
+                if start <= idx <= end:
+                    score -= 0.4
+                    continue
+                term = terms[k]
+                distance = start - idx if idx < start else idx - end
+                decayed = decay**distance
+                if term in verbs:
+                    score += self.verb_term_boost * decayed
+                else:
+                    score += 0.75 + 0.25 * decayed
+                matched.add(term)
+            score += 0.5 * len(matched)
+            scores.append(score)
+        return scores

@@ -8,6 +8,7 @@ Fitting the IDF table on the training split is this model's "fine-tuning".
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from typing import Iterable
 
@@ -114,54 +115,49 @@ class TfidfQA(SpanScoringQA):
     def span_prep(
         self, profile: QuestionProfile, tokens: list[Token], compiled=None
     ):
-        """Per-token ``(term, idf)`` table, computed once per context.
+        """The sorted hit list ``(positions, terms, idf)`` of
+        :meth:`question_hits`, plus each hit token's IDF weight.
 
-        The table depends on the question's terms, so it cannot live on
+        The hits depend on the question's terms, so they cannot live on
         the compiled artifact directly; :meth:`CompiledContext.prep`
-        memoizes it per (model, terms) instead.  Refit (:meth:`fit`)
+        memoizes them per (model, terms) instead.  Refit (:meth:`fit`)
         after serving traffic would stale those entries — fit before
         wiring the model into a pipeline.
         """
-        if not profile.terms:
-            return ()
-        exact, stems = profile.exact, profile.stems
-        table: list[tuple[str, float] | None] = []
-        for tok in tokens:
-            term = self.match_term(tok.lower, exact, stems) if tok.is_word else None
-            table.append((term, self.idf(tok.lower)) if term is not None else None)
-        return table
+        positions, terms = self.question_hits(profile, tokens, compiled)
+        return positions, terms, [self.idf(tokens[i].lower) for i in positions]
 
-    def score_span_prepared(
-        self,
-        prep,
-        profile: QuestionProfile,
-        tokens: list[Token],
-        start: int,
-        end: int,
-        bounds: tuple[int, int] | None = None,
-    ) -> float:
-        if not profile.terms:
-            return 0.0
-        lo_limit, hi_limit = bounds if bounds is not None else (0, len(tokens))
-        lo = max(lo_limit, start - self.window)
-        hi = min(hi_limit, end + self.window + 1)
-        score = 0.0
-        matched: set[str] = set()
-        for idx in range(lo, hi):
-            entry = prep[idx]
-            if entry is None:
-                continue
-            term, weight = entry
-            if start <= idx <= end:
-                score -= 0.4 * weight
-                continue
-            distance = start - idx if idx < start else idx - end
-            decayed = self.decay ** distance
-            if term in profile.verbs:
-                score += self.verb_term_boost * weight * decayed
-            else:
-                score += weight * (0.75 + 0.25 * decayed)
-            matched.add(term)
-        coverage = self._coverage(profile.terms, matched)
-        score += 0.5 * coverage / max(1, len(profile.terms))
-        return score
+    def score_spans(self, prep, profile, tokens, spans, bounds) -> list[float]:
+        """Each span bisects to the hits inside its window and replays
+        :meth:`score_span`'s arithmetic over them in token order; the
+        coverage sum reads one ``(term, idf)`` list in question order."""
+        if prep is None:
+            return super().score_spans(prep, profile, tokens, spans, bounds)
+        positions, terms, weights = prep
+        verbs, window, decay = profile.verbs, self.window, self.decay
+        cover = [(t, self.idf(t)) for t in dict.fromkeys(profile.terms)]
+        n_terms = max(1, len(profile.terms))
+        scores = []
+        for (start, end), (lo_limit, hi_limit) in zip(spans, bounds):
+            score = 0.0
+            matched: set[str] = set()
+            for k in range(
+                bisect_left(positions, max(lo_limit, start - window)),
+                bisect_left(positions, min(hi_limit, end + window + 1)),
+            ):
+                idx, weight = positions[k], weights[k]
+                if start <= idx <= end:
+                    score -= 0.4 * weight
+                    continue
+                term = terms[k]
+                distance = start - idx if idx < start else idx - end
+                decayed = decay**distance
+                if term in verbs:
+                    score += self.verb_term_boost * weight * decayed
+                else:
+                    score += weight * (0.75 + 0.25 * decayed)
+                matched.add(term)
+            coverage = sum(w for t, w in cover if t in matched)
+            score += 0.5 * coverage / n_terms
+            scores.append(score)
+        return scores

@@ -16,11 +16,18 @@ __all__ = ["Token", "tokenize", "detokenize", "word_tokens"]
 # Words (with internal apostrophes/hyphens, e.g. "Knowles-Carter", "don't"),
 # numbers (with decimal points/commas, e.g. "1,533", "3.5"), or single
 # punctuation marks.
-_TOKEN_RE = re.compile(
+_WORD_PATTERN = (
     r"[A-Za-z]+(?:[''\-][A-Za-z]+)*"  # words incl. hyphen/apostrophe compounds
     r"|\d+(?:[.,]\d+)*%?"  # numbers, decimals, percentages
-    r"|[^\w\s]"  # any single punctuation character
 )
+_TOKEN_RE = re.compile(
+    _WORD_PATTERN + r"|[^\w\s]"  # any single punctuation character
+)
+# The word alternatives alone.  A punctuation match is one character that
+# is neither alphanumeric nor able to start a word or number, so scanning
+# with this pattern finds exactly the tokens ``tokenize`` marks
+# ``is_word``, without building Token objects.
+_WORD_RE = re.compile(_WORD_PATTERN)
 
 # Punctuation that attaches to the preceding token when detokenizing.
 _CLOSE_PUNCT = {".", ",", ";", ":", "!", "?", ")", "]", "}", "%", "''", "'"}
@@ -70,8 +77,11 @@ def tokenize(text: str) -> list[Token]:
 
 
 def word_tokens(text: str) -> list[str]:
-    """Lowercased word-only token strings (punctuation removed)."""
-    return [t.lower for t in tokenize(text) if t.is_word]
+    """Lowercased word-only token strings (punctuation removed).
+
+    Equal to ``[t.lower for t in tokenize(text) if t.is_word]``.
+    """
+    return [word.lower() for word in _WORD_RE.findall(text)]
 
 
 def detokenize(tokens: list[str]) -> str:

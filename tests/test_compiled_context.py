@@ -66,9 +66,19 @@ def fresh_models(artifacts):
     for model in models:
         model.context_compiler = ContextCompiler()
     yield models
+    _restore_compilers(models, saved)
+
+
+def _restore_compilers(models, saved) -> None:
+    """Put back each model's saved compiler slot.
+
+    A slot saved as None was never filled, so it is deleted rather than
+    set to None: a None compiler would disable compilation for every
+    later test sharing the session-scoped reader.
+    """
     for model, compiler in zip(models, saved):
-        if compiler is None and "_context_compiler" in model.__dict__:
-            del model.__dict__["_context_compiler"]
+        if compiler is None:
+            model.__dict__.pop("_context_compiler", None)
         else:
             model.context_compiler = compiler
 
@@ -145,8 +155,7 @@ class TestDistillationEquivalence:
             )
             without = [off.distill(*case) for case in QA_CASES]
         finally:
-            for model, compiler in zip(models, saved):
-                model.context_compiler = compiler
+            _restore_compilers(models, saved)
         for r_on, r_off in zip(with_compiler, without):
             assert r_on.evidence == r_off.evidence
             assert r_on.scores == r_off.scores

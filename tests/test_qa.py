@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lm.embeddings import CooccurrenceEmbeddings
 from repro.qa import (
@@ -17,7 +18,8 @@ from repro.qa import (
     classify_question,
     candidate_spans,
 )
-from repro.qa.base import AnswerPrediction
+from repro.qa.base import AnswerPrediction, SpanScoringQA
+from repro.qa.compiled import ContextCompiler
 from repro.qa.embedding import EmbeddingQA
 from repro.qa.registry import (
     SQUAD_BASELINES,
@@ -27,6 +29,7 @@ from repro.qa.registry import (
 )
 from repro.text.tokenizer import tokenize
 from tests.conftest import CORPUS, QA_CASES
+from tests.oracle import oracle_predict_top_k, oracle_ranked_spans
 
 
 class TestClassifyQuestion:
@@ -151,12 +154,17 @@ for ex in ds.train[:40]:
     profile = qa._question_profile(ex.question)
     tokens = tokenize(ex.context)
     prep = qa.span_prep(profile, tokens)
-    for start in range(len(tokens)):
-        for end in range(start, min(start + 3, len(tokens))):
-            a = qa.score_span(list(profile.terms), tokens, start, end)
-            b = qa.score_span_prepared(prep, profile, tokens, start, end)
-            assert a == b, (a, b)
-            digest.update(a.hex().encode())
+    spans = [
+        (start, end)
+        for start in range(len(tokens))
+        for end in range(start, min(start + 3, len(tokens)))
+    ]
+    whole = [(0, len(tokens))] * len(spans)
+    fast = qa.score_spans(prep, profile, tokens, spans, whole)
+    for (start, end), b in zip(spans, fast):
+        a = qa.score_span(list(profile.terms), tokens, start, end)
+        assert a == b, (a, b)
+        digest.update(a.hex().encode())
 print(digest.hexdigest())
 """
 
@@ -177,6 +185,97 @@ class TestTfidfHashSeed:
             assert done.returncode == 0, done.stderr
             digests.add(done.stdout.strip())
         assert len(digests) == 1
+
+
+# Paragraph soup: capitalized runs with "of"/"the" bridges, numbers with
+# units, hyphen compounds, pronouns, conjunctions, punctuation and
+# sentence breaks, so every candidate-span extractor and span prior
+# fires.  No word is a question-type cue, so the question's leading cue
+# alone fixes its AnswerType.
+_SOUP_WORDS = [
+    "Denver", "Broncos", "defeated", "the", "champion", "Battle", "of",
+    "Hastings", "in", "1066", "Santa", "Clara", "stadium", "game", "won",
+    "title", "a", "crowd", "50", "points", "3.5", "Knowles-Carter",
+    "performed", "various", "singing", "and", "dancing", "competitions",
+    "she", "they", "Norman", "conquest", "born", "raised", "Houston",
+    "Texas", "led", "England", "comet", "discovered", "Super", "Bowl",
+]
+_SOUP = _SOUP_WORDS + [",", ".", "!", "?", ";", "%", "-"]
+_TYPE_CUES = {
+    AnswerType.PERSON: "Who",
+    AnswerType.PLACE: "Where",
+    AnswerType.NUMBER: "When",
+    AnswerType.ENTITY: "Which",
+    AnswerType.PHRASE: "Describe",
+}
+
+
+class _ScoreSpanOnlyReader(SpanScoringQA):
+    """A reader implementing only the generic ``score_span`` hook."""
+
+    name = "score-span-only"
+
+    def score_span(self, question_terms, tokens, start, end, bounds=None):
+        lo, hi = bounds if bounds is not None else (0, len(tokens))
+        terms = set(question_terms)
+        score = 0.0
+        for idx in range(max(lo, start - 8), min(hi, end + 9)):
+            if tokens[idx].lower in terms and not start <= idx <= end:
+                score += 0.9 ** abs(idx - start)
+        return score
+
+
+def _narrow_window_models(artifacts) -> list[SpanScoringQA]:
+    """The three member readers with 2-token windows.
+
+    The shipped windows (12 and 25 tokens) rarely bind inside a short
+    sentence, so these make every window edge, not only sentence
+    bounds, clip the scored hits and embedding rows.
+    """
+    return [
+        LexicalOverlapQA(window=2),
+        TfidfQA(window=2).fit(CORPUS),
+        EmbeddingQA(artifacts.embeddings, window=2),
+    ]
+
+
+class TestSpanScoringOracle:
+    """``_ranked_spans`` and ``predict_top_k`` equal the per-span oracle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        answer_type=st.sampled_from(list(AnswerType)),
+        question_words=st.lists(st.sampled_from(_SOUP_WORDS), max_size=5),
+        paragraph=st.lists(st.sampled_from(_SOUP), max_size=45),
+        k=st.integers(min_value=1, max_value=5),
+    )
+    def test_matches_oracle(
+        self, artifacts, answer_type, question_words, paragraph, k
+    ):
+        question = " ".join([_TYPE_CUES[answer_type], *question_words]) + "?"
+        assert classify_question(question) is answer_type
+        context = " ".join(paragraph)
+        reader = artifacts.reader
+        models = [
+            reader,
+            *(m for m, _w in reader.members),
+            _ScoreSpanOnlyReader(),
+            *_narrow_window_models(artifacts),
+        ]
+        for model in models:
+            want = oracle_ranked_spans(model, question, context)
+            want_top = oracle_predict_top_k(model, question, context, k)
+            saved = model.__dict__.get("_context_compiler")
+            try:
+                for compiler in (ContextCompiler(), None):
+                    model.context_compiler = compiler
+                    assert model._ranked_spans(question, context)[1] == want
+                    assert model.predict_top_k(question, context, k) == want_top
+            finally:
+                if saved is None:
+                    model.__dict__.pop("_context_compiler", None)
+                else:
+                    model.context_compiler = saved
 
 
 class TestEmbeddingQuestionMemo:

@@ -1,6 +1,23 @@
 """Unit tests for the span-preserving tokenizer."""
 
+from hypothesis import given, settings, strategies as st
+
 from repro.text.tokenizer import Token, detokenize, tokenize, word_tokens
+
+
+# Pieces where a word-only scan could plausibly diverge from tokenize:
+# compounds and numbers, the Kelvin sign and dotted capital I (which
+# lowercase to ASCII or to two characters), Arabic-Indic digits (``\d``
+# but not ASCII), and "_" and "e-acute" (``\w`` but part of no token).
+_EDGE_PIECES = [
+    "Knowles-Carter", "don't", "1,533", "3.5%", "K", "\u212a", "\u0130",
+    "\u0663\u0664", "_", "\u00e9", "-", "'", ".", " ", "\n", "a", "Z",
+]
+
+
+def _word_tokens_via_tokens(text: str) -> list[str]:
+    """The Token-based definition ``word_tokens`` must equal."""
+    return [t.lower for t in tokenize(text) if t.is_word]
 
 
 class TestTokenize:
@@ -59,6 +76,19 @@ class TestWordTokens:
 
     def test_empty(self):
         assert word_tokens("...") == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_equals_token_definition(self, text):
+        assert word_tokens(text) == _word_tokens_via_tokens(text)
+
+    @given(st.lists(st.sampled_from(_EDGE_PIECES)).map("".join))
+    def test_equals_token_definition_on_edge_characters(self, text):
+        assert word_tokens(text) == _word_tokens_via_tokens(text)
+
+    def test_equals_token_definition_on_squad_contexts(self, squad_dataset):
+        for context in squad_dataset.contexts():
+            assert word_tokens(context) == _word_tokens_via_tokens(context)
 
 
 class TestDetokenize:
