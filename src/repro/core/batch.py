@@ -232,6 +232,19 @@ class BatchDistiller:
         self._record(key, result)
         return result
 
+    def memo_lookup(self, triple: Triple) -> DistillationResult:
+        """The memoized result for ``triple``, or ``MISSING``.
+
+        A hit is accounted exactly as :meth:`distill_many` accounts it; a
+        miss is not counted, since the triple goes on to a
+        :meth:`distill_many` call that counts it.
+        """
+        cached = self._results.get(tuple(triple), MISSING, count_miss=False)
+        if cached is not MISSING:
+            with self._stats_lock:
+                self._n_hits += 1
+        return cached
+
     @contextlib.contextmanager
     def _timed(self):
         """Add the block's wall-clock to the distill total, even on error."""

@@ -6,10 +6,11 @@ every invocation; this package keeps them alive in a long-lived process:
 * :class:`~repro.service.service.DistillService` — builds the pipeline
   resources once and serves distillations from them;
 * :class:`~repro.service.scheduler.MicroBatchScheduler` — coalesces
-  concurrent requests into engine micro-batches (max-batch-size /
-  max-wait-ms flush policy, FIFO, per-request error isolation), attaches
-  identical in-flight requests to one computation, and bounds admission
-  at ``max_queue_depth``;
+  concurrent requests into engine micro-batches (work-conserving flush
+  of up to max-batch-size, optional max-wait-ms linger, FIFO,
+  per-request error isolation), answers finished triples from the
+  result memo at submit, attaches identical in-flight requests to one
+  computation, and bounds admission at ``max_queue_depth``;
 * :mod:`~repro.service.admission` — per-client token buckets and the
   :class:`~repro.service.admission.ShedError` family the HTTP layer maps
   to ``429 + Retry-After``;

@@ -16,7 +16,9 @@ one per calling thread, opened on first use.  A transport error or an
 unreadable body closes that thread's connection and the next request
 reconnects; the failed request itself is never resent behind the
 caller's back (``/ingest`` is not idempotent) — resending is the
-:class:`RetryPolicy`'s decision alone.
+:class:`RetryPolicy`'s decision alone.  A kept-alive connection the
+server has since closed (its idle timeout) is noticed before a request
+is sent on it and replaced by a fresh one.
 
 Retries are opt-in: pass a :class:`RetryPolicy` and the client retries
 retryable statuses (and transport failures) with capped exponential
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 import weakref
@@ -142,6 +145,25 @@ class RetryPolicy:
         return min(delay, self.max_delay_s)
 
 
+def _peer_closed(sock: socket.socket) -> bool:
+    """True when an idle connection's peer has closed or reset it.
+
+    Between requests nothing is owed to the client, so a non-blocking
+    peek that reads no bytes means EOF; one that would block means the
+    connection is still open.
+    """
+    timeout = sock.gettimeout()
+    sock.setblocking(False)
+    try:
+        return sock.recv(1, socket.MSG_PEEK) == b""
+    except (BlockingIOError, ValueError):  # open; TLS takes no flags
+        return False
+    except OSError:  # reset by the peer
+        return True
+    finally:
+        sock.settimeout(timeout)
+
+
 class ServiceClient:
     """Blocking JSON client bound to one service base URL.
 
@@ -221,6 +243,9 @@ class ServiceClient:
             self._local.connection = connection
             with self._connections_lock:
                 self._connections.add(connection)
+        elif connection.sock is not None and _peer_closed(connection.sock):
+            # The server ended this idle connection; request() reconnects.
+            connection.close()
         return connection
 
     # ----------------------------------------------------------- plumbing

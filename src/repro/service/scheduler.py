@@ -9,19 +9,26 @@ the two worlds: callers submit single requests and get a future back;
 a background flusher thread coalesces queued requests into micro-batches
 and runs each batch through the distiller.
 
-A batch flushes when either
-
-* ``max_batch_size`` requests are queued (*size flush*), or
-* ``max_wait_ms`` has elapsed since the oldest queued request arrived
-  (*timeout flush*) — the latency bound a single straggler pays for
-  batching.
+The flush is work-conserving: whenever the flusher is free and the
+queue is not empty, it takes up to ``max_batch_size`` queued requests at
+once (*idle flush*, or *size flush* when the batch is full).  Batches
+form the way a group commit does, from the requests that arrive while
+the previous flush executes, so a request waits at most for the batch
+already running.  An explicit ``max_wait_ms`` linger (default 0) makes
+the flusher hold a partial batch until that long after its oldest
+request arrived (*timeout flush*) or until it fills (*size flush*).
 
 Requests flush strictly in arrival order (FIFO), so no request can be
 starved by later arrivals.  Errors are isolated per request: if a batch
 fails, every request in it is retried individually and only the poisoned
 ones receive the exception.
 
-Two production-traffic behaviours sit in front of the queue:
+Three production-traffic behaviours sit in front of the queue:
+
+* **Memo hits at submit** — a triple the distiller has already finished
+  is answered on the submitting thread from its result memo: the
+  returned future is already done, and the request takes no queue slot
+  and no flush.
 
 * **In-flight coalescing** — a submit whose ``(question, answer,
   context)`` triple is already queued *or executing* attaches to that
@@ -56,6 +63,7 @@ from repro.core.result import DistillationResult
 from repro.faults import fault_point
 from repro.obs import trace as obs_trace
 from repro.service.admission import DeadlineExceededError, QueueFullError
+from repro.utils.cache import MISSING
 
 __all__ = [
     "DistillRequest",
@@ -143,7 +151,10 @@ class SchedulerStats:
     ones included); ``flushed`` counts queue slots that went through
     batches, so ``mean_batch_size`` stays an engine-side measure.
     ``coalesced`` requests attached to in-flight work, ``shed`` were
-    refused because the queue was at ``max_queue_depth``.
+    refused because the queue was at ``max_queue_depth``.  Each batch
+    counts under one flush trigger: ``size`` (the batch was full),
+    ``timeout`` (the ``max_wait_ms`` linger ran out) or ``idle`` (the
+    flusher took what was queued without lingering).
     """
 
     queue_depth: int
@@ -159,6 +170,7 @@ class SchedulerStats:
     inflight: int = 0
     ewma_batch_ms: float = 0.0
     deadline_expired: int = 0
+    idle_flushes: int = 0
 
     @property
     def mean_batch_size(self) -> float:
@@ -177,6 +189,7 @@ class SchedulerStats:
             "batches": self.batches,
             "size_flushes": self.size_flushes,
             "timeout_flushes": self.timeout_flushes,
+            "idle_flushes": self.idle_flushes,
             "coalesced": self.coalesced,
             "coalesce_hit_rate": self.coalesce_hit_rate,
             "shed": self.shed,
@@ -193,12 +206,14 @@ class MicroBatchScheduler:
 
     Args:
         distiller: the warm :class:`BatchDistiller` every batch runs on.
-            The scheduler owns all access to it from its flusher thread,
-            so callers never contend on the pipeline itself.
-        max_batch_size: flush as soon as this many requests are queued.
-        max_wait_ms: flush at the latest this long after the *oldest*
-            queued request arrived; ``0`` flushes immediately (no
-            batching beyond what is already queued).
+            Only the flusher thread runs the pipeline, so callers never
+            contend on it; submitting threads only read its result memo
+            (:meth:`BatchDistiller.memo_lookup`).
+        max_batch_size: the most requests one flush takes.
+        max_wait_ms: linger cap — hold a partial batch until this long
+            after its *oldest* request arrived.  ``0`` (default) never
+            lingers: the flusher takes the queue as soon as it is free,
+            so requests queued behind a running flush still batch.
         max_queue_depth: admission bound — a submit that would grow the
             queue past this many pending requests raises
             :class:`QueueFullError` (with a ``retry_after`` hint) instead
@@ -218,7 +233,7 @@ class MicroBatchScheduler:
         self,
         distiller: BatchDistiller,
         max_batch_size: int = 16,
-        max_wait_ms: float = 5.0,
+        max_wait_ms: float = 0.0,
         max_queue_depth: int = 0,
     ) -> None:
         if max_batch_size < 1:
@@ -240,8 +255,8 @@ class MicroBatchScheduler:
         self._submitted = 0
         self._completed = 0
         self._failed = 0
-        self._size_flushes = 0
-        self._timeout_flushes = 0
+        # Batches by flush trigger (see SchedulerStats).
+        self._flushes = {"size": 0, "timeout": 0, "idle": 0}
         self._coalesced = 0
         self._shed = 0
         self._flushed = 0
@@ -266,11 +281,12 @@ class MicroBatchScheduler:
     ) -> DistillRequest:
         """Queue one request (or attach to an identical in-flight one).
 
-        Returns immediately with the request holding a pending future.
-        ``deadline`` is an absolute ``time.monotonic()`` instant; a
-        request whose deadline has already passed is refused without
-        touching the queue, and one that expires while queued fails at
-        flush time before any engine work runs.
+        Returns immediately with the request holding a future, already
+        done when the distiller's memo holds the triple.  ``deadline`` is
+        an absolute ``time.monotonic()`` instant; a request whose deadline
+        has already passed is refused without touching the queue, and one
+        that expires while queued fails at flush time before any engine
+        work runs.
 
         Raises:
             SchedulerClosedError: the scheduler is closed.
@@ -278,13 +294,7 @@ class MicroBatchScheduler:
                 triple could not coalesce onto in-flight work.
             DeadlineExceededError: ``deadline`` is already in the past.
         """
-        self._check_deadline(deadline)
-        request = DistillRequest(question, answer, context, deadline=deadline)
-        with self._cond:
-            self._admit_locked(request)
-            if not request.coalesced:
-                self._cond.notify_all()
-        return request
+        return self._submit([(question, answer, context)], deadline)[0]
 
     def submit_many(
         self,
@@ -297,8 +307,20 @@ class MicroBatchScheduler:
         in-flight work) coalesce onto one computation.  Admission is
         all-or-nothing: if the non-coalescable remainder does not fit
         under ``max_queue_depth``, the whole call is shed with
-        :class:`QueueFullError` and nothing is enqueued.  ``deadline``
-        (absolute monotonic) applies to every request in the call.
+        :class:`QueueFullError` and nothing is enqueued; the bound is
+        checked before the memo is, so a memoized triple counts against
+        it like any other.  ``deadline`` (absolute monotonic) applies to
+        every request in the call.
+        """
+        return self._submit(triples, deadline)
+
+    def _submit(
+        self, triples: list[tuple[str, str, str]], deadline: float | None
+    ) -> list[DistillRequest]:
+        """Admit ``triples`` under one hold of the lock.
+
+        Both public submits end here; neither calls the other, so a
+        wrapper around either sees each request once.
         """
         self._check_deadline(deadline)
         requests = [
@@ -307,23 +329,31 @@ class MicroBatchScheduler:
         with self._cond:
             if self._closed:
                 raise SchedulerClosedError("scheduler is closed")
+            depth = len(self._queue)
             if self.max_queue_depth:
                 fresh = {
                     request.triple
                     for request in requests
                     if request.triple not in self._inflight
                 }
-                if len(self._queue) + len(fresh) > self.max_queue_depth:
+                if depth + len(fresh) > self.max_queue_depth:
                     self._shed += len(requests)
                     raise QueueFullError(
-                        f"admission queue is full ({len(self._queue)}/"
-                        f"{self.max_queue_depth} pending; batch of "
-                        f"{len(fresh)} does not fit)",
+                        f"admission queue is full ({depth}/"
+                        f"{self.max_queue_depth} pending; "
+                        f"{len(fresh)} new request(s) do not fit)",
                         retry_after=self._retry_after_locked(extra=len(fresh)),
                     )
+            answered = []
             for request in requests:
-                self._admit_locked(request, checked=True)
-            self._cond.notify_all()
+                cached = self._admit_locked(request)
+                if cached is not MISSING:
+                    answered.append((request, cached))
+            for request, result in answered:
+                done, _failed = self._resolve(request, result=result)
+                self._completed += done
+            if len(self._queue) > depth:
+                self._cond.notify_all()
         return requests
 
     def _check_deadline(self, deadline: float | None) -> None:
@@ -335,18 +365,21 @@ class MicroBatchScheduler:
                 "request deadline expired before it could be queued",
             )
 
-    def _admit_locked(
-        self, request: DistillRequest, checked: bool = False
-    ) -> None:
-        """Coalesce, bound-check (unless ``checked``), and enqueue."""
-        if self._closed:
-            raise SchedulerClosedError("scheduler is closed")
+    def _admit_locked(self, request: DistillRequest):
+        """Coalesce onto in-flight work, else answer from the memo, else enqueue.
+
+        Returns the memoized result when the distiller has already
+        finished the triple, else ``MISSING``.  The caller resolves a
+        memo-answered request once the whole call is admitted; until then
+        it sits in the in-flight table, so a duplicate later in the same
+        call coalesces onto it exactly as onto a queued request.
+        """
+        self._submitted += 1
         primary = self._inflight.get(request.triple)
         if primary is not None:
             primary.attached.append(request.future)
             request.coalesced = True
             self._coalesced += 1
-            self._submitted += 1
             if request.trace is not None:
                 # Tag the coalesced request's trace with the primary's
                 # trace id so the two traces can be joined offline.
@@ -359,21 +392,18 @@ class MicroBatchScheduler:
                     parent_id=request.parent_span_id,
                     **tags,
                 )
-            return
-        if (
-            not checked
-            and self.max_queue_depth
-            and len(self._queue) >= self.max_queue_depth
-        ):
-            self._shed += 1
-            raise QueueFullError(
-                f"admission queue is full "
-                f"({len(self._queue)}/{self.max_queue_depth} pending)",
-                retry_after=self._retry_after_locked(extra=1),
-            )
+            return MISSING
         self._inflight[request.triple] = request
-        self._queue.append(request)
-        self._submitted += 1
+        cached = self.distiller.memo_lookup(request.triple)
+        if cached is MISSING:
+            self._queue.append(request)
+        elif request.trace is not None:
+            obs_trace.record_event(
+                request.trace,
+                "scheduler.memo_hit",
+                parent_id=request.parent_span_id,
+            )
+        return cached
 
     def distill(
         self,
@@ -415,19 +445,30 @@ class MicroBatchScheduler:
     def _next_batch(
         self,
     ) -> tuple[list[DistillRequest] | None, str]:
-        """Block until a batch is due; ``(None, ...)`` means shut down."""
+        """Block until a batch is due; ``(None, ...)`` means shut down.
+
+        Without a linger the batch is whatever queued while the flusher
+        was busy, taken at once.
+        """
         with self._cond:
             while not self._queue:
                 if self._closed:
                     return None, "closed"
                 self._cond.wait()
-            deadline = self._queue[0].enqueued_at + self.max_wait_ms / 1000.0
-            reason = "timeout"
-            while len(self._queue) < self.max_batch_size and not self._closed:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._cond.wait(timeout=remaining)
+            reason = "idle"
+            if self.max_wait_ms:
+                reason = "timeout"
+                deadline = (
+                    self._queue[0].enqueued_at + self.max_wait_ms / 1000.0
+                )
+                while (
+                    len(self._queue) < self.max_batch_size
+                    and not self._closed
+                ):
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0:
+                        break
+                    self._cond.wait(timeout=remaining)
             if len(self._queue) >= self.max_batch_size:
                 reason = "size"
             batch = [
@@ -619,10 +660,7 @@ class MicroBatchScheduler:
                     else _EWMA_ALPHA * elapsed
                     + (1.0 - _EWMA_ALPHA) * self._ewma_batch_s
                 )
-            if reason == "size":
-                self._size_flushes += 1
-            else:
-                self._timeout_flushes += 1
+            self._flushes[reason] += 1
         on_batch = self.on_batch
         if on_batch is not None:
             on_batch(elapsed, len(batch), reason, batch_ok)
@@ -636,8 +674,9 @@ class MicroBatchScheduler:
                 completed=self._completed,
                 failed=self._failed,
                 batches=self._batches,
-                size_flushes=self._size_flushes,
-                timeout_flushes=self._timeout_flushes,
+                size_flushes=self._flushes["size"],
+                timeout_flushes=self._flushes["timeout"],
+                idle_flushes=self._flushes["idle"],
                 coalesced=self._coalesced,
                 shed=self._shed,
                 flushed=self._flushed,

@@ -73,6 +73,7 @@ handler thread; handlers only touch the service's thread-safe surface.
 
 Transport: HTTP/1.1 keep-alive.  Each response leaves in one write on a
 ``TCP_NODELAY`` socket, so it never waits on the client's delayed ACK.
+A connection idle for ``_DistillHandler.timeout`` (60 s) is closed.
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ class _DistillHandler(BaseHTTPRequestHandler):
     # request line), whose body would otherwise wait on the peer's
     # delayed ACK under Nagle's algorithm (~40 ms).
     disable_nagle_algorithm = True
+    # Socket timeout (seconds) of every accepted connection: a keep-alive
+    # connection that sends no request for this long is closed and its
+    # handler thread exits, so idle clients do not pin threads forever.
+    timeout = 60.0
 
     @property
     def service(self) -> DistillService:

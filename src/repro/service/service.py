@@ -88,11 +88,12 @@ class ServiceConfig:
         4096, "finished results memoized by the distiller (LRU)"
     )
     max_batch_size: int = _knob(
-        16, "flush a micro-batch once this many requests are queued"
+        16, "the most queued requests one micro-batch flush takes"
     )
     max_wait_ms: float = _knob(
-        5.0,
-        "flush at the latest this long after the oldest queued request",
+        0.0,
+        "linger cap: hold a partial micro-batch until this long after "
+        "its oldest request (0 = flush whenever the flusher is free)",
     )
     max_queue_depth: int = _knob(
         256,

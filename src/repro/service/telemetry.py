@@ -107,6 +107,7 @@ STATS_FAMILIES = (
             "reason": {
                 "size": "scheduler.size_flushes",
                 "timeout": "scheduler.timeout_flushes",
+                "idle": "scheduler.idle_flushes",
             }
         },
     ),

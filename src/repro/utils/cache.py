@@ -95,11 +95,16 @@ class LRUCache:
         with self._lock:
             return key in self._data
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
+    def get(
+        self, key: Hashable, default: Any = None, count_miss: bool = True
+    ) -> Any:
         """Return the cached value, refreshing its recency, or ``default``.
 
         Pass ``default=MISSING`` to tell a cached ``None`` (a hit) apart
-        from an absent key (a miss).
+        from an absent key (a miss).  ``count_miss=False`` leaves an
+        absent key uncounted, like :meth:`peek`, while a hit still counts
+        and refreshes: for a probe whose miss the cache's own workload
+        will count when it looks the key up again.
         """
         with self._lock:
             value = self._data.get(key, MISSING)
@@ -107,7 +112,8 @@ class LRUCache:
                 self.hits += 1
                 self._data.move_to_end(key)
                 return value
-            self.misses += 1
+            if count_miss:
+                self.misses += 1
         return default
 
     def peek(self, key: Hashable, default: Any = None) -> Any:

@@ -45,6 +45,7 @@ from repro.service import (
     ServiceError,
     start_server,
 )
+from repro.utils.cache import MISSING
 from tests.conftest import CORPUS, QA_CASES
 
 POISON = "__poison__"
@@ -66,6 +67,9 @@ class StubDistiller:
         with self._lock:
             self.batches.append(list(triples))
         return [self._one(t) for t in triples]
+
+    def memo_lookup(self, triple):
+        return MISSING
 
     def distill_one(self, question, answer, context):
         return self._one((question, answer, context))

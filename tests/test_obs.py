@@ -61,6 +61,7 @@ from repro.service.telemetry import (
     ServiceTelemetry,
     project_stats,
 )
+from repro.utils.cache import MISSING
 from tests.conftest import CORPUS, QA_CASES
 
 
@@ -409,6 +410,9 @@ class FlakyDistiller:
             raise RuntimeError("batch executor died")
         return [("ok",) + tuple(t) for t in triples]
 
+    def memo_lookup(self, triple):
+        return MISSING
+
     def distill_one(self, question, answer, context):
         return ("ok", question, answer, context)
 
@@ -752,6 +756,20 @@ class TestStatsProjection:
         assert "gced_faults_injected_total" not in by_name
         breakers = by_name["gced_breaker_state"].samples
         assert [s.labels for s in breakers] == [(("breaker", "process_pool"),)]
+
+    def test_batches_count_idle_flushes_at_the_default_config(
+        self, artifacts
+    ):
+        gced = GCED(qa_model=artifacts.reader, artifacts=artifacts)
+        with DistillService(gced) as service:
+            service.distill(*QA_CASES[2])
+            stats = service.stats()
+        by_name = {f.name: f for f in project_stats(stats)}
+        batches = {
+            dict(s.labels)["reason"]: s.value
+            for s in by_name["gced_scheduler_batches_total"].samples
+        }
+        assert batches == {"size": 0, "timeout": 0, "idle": 1}
 
     def test_docs_list_exactly_the_exported_families(self, served_obs):
         service, _client = served_obs
